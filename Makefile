@@ -73,7 +73,8 @@ campaign-smoke:
 # Serving smoke: a tiny fleet driven through `repro serve` with telemetry and
 # a Chrome trace.  The JSON output is validated for the serving contract
 # (p50/p95/p99 decision latency, decisions/sec, sessions/sec all present and
-# sane), the Chrome trace for loadability, and the `repro report` summary for
+# sane; the decide/emulate split present and within the wall time), the
+# Chrome trace for loadability, and the `repro report` summary for
 # the serving section the fleet's serve.* counters feed.
 serve-smoke:
 	rm -rf .serve-smoke-telemetry .serve-smoke-trace.json
@@ -84,7 +85,9 @@ serve-smoke:
 	    assert m['num_sessions'] == 32 and m['num_decisions'] == 32 * 6; \
 	    assert m['decisions_per_s'] > 0 and m['sessions_per_s'] > 0; \
 	    assert 0.0 <= m['p50_decision_latency_s'] <= m['p95_decision_latency_s'] <= m['p99_decision_latency_s']; \
-	    print(f\"serve metrics OK: {m['decisions_per_s']:.0f} dec/s, p99 {m['p99_decision_latency_s']*1e3:.2f} ms\")"
+	    assert 'emulate_s' in m and m['emulate_s'] > 0, 'emulate_s missing'; \
+	    assert m['decide_s'] + m['emulate_s'] <= m['wall_s'], 'decide + emulate exceeds wall'; \
+	    print(f\"serve metrics OK: {m['decisions_per_s']:.0f} dec/s, p99 {m['p99_decision_latency_s']*1e3:.2f} ms, decide {m['decide_s']:.3f} s + emulate {m['emulate_s']:.3f} s of {m['wall_s']:.3f} s wall\")"
 	$(PYTHON) -c "import json; t = json.load(open('.serve-smoke-trace.json'))['traceEvents']; assert t and all({'name', 'ph', 'ts'} <= set(e) for e in t), 'malformed Chrome trace'; print(f'trace OK: {len(t)} events')"
 	$(PYTHON) -c "from repro.core import telemetry; \
 	    s = telemetry.summarize(telemetry.load_events('.serve-smoke-telemetry'))['serving']; \

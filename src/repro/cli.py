@@ -680,6 +680,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             ["mean / max batch", f"{metrics.mean_batch_size:.1f} / "
                                  f"{metrics.max_batch_size}"],
             ["wall time", f"{metrics.wall_s:.3f} s"],
+            ["decide / emulate time", f"{metrics.decide_s:.3f} s / "
+                                      f"{metrics.emulate_s:.3f} s"],
             ["decisions/s", f"{metrics.decisions_per_s:,.0f}"],
             ["sessions/s", f"{metrics.sessions_per_s:,.1f}"],
             ["decision latency p50", f"{metrics.p50_decision_latency_s * 1e3:.3f} ms"],

@@ -504,6 +504,7 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             "decisions": int(counters.get("serve.decisions", 0.0)),
             "ticks": int(counters.get("serve.ticks", 0.0)),
             "decide_s": counters.get("serve.decide_s", 0.0),
+            "emulate_s": counters.get("serve.emulate_s", 0.0),
             "wall_s": counters.get("serve.wall_s", 0.0),
             "decisions_per_s": (
                 counters.get("serve.decisions", 0.0)
@@ -596,6 +597,13 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
                      f"{serving['decisions']} decisions in "
                      f"{serving['ticks']} ticks "
                      f"(mean batch {batch:.1f}), {rate_text}")
+        wall = serving["wall_s"]
+        if wall > 0:
+            lines.append(f"  wall split      : decide {serving['decide_s']:.3f} s "
+                         f"({serving['decide_s'] / wall:.0%}), emulate "
+                         f"{serving['emulate_s']:.3f} s "
+                         f"({serving['emulate_s'] / wall:.0%}) of "
+                         f"{wall:.3f} s wall")
 
     if summary["designs"]:
         lines.append("slowest designs   :")

@@ -27,9 +27,12 @@ Throughput and latency are measured per tick: *decision latency* is the
 wall-clock time from gathering a tick's observations to its actions being
 available (state building + batched forward + action selection), attributed
 to every decision in the tick; decisions/sec and sessions/sec are computed
-over the whole run.  Everything is instrumented through
-:mod:`repro.core.telemetry` (``serve.*`` spans, counters and series) so
-``repro serve --telemetry`` runs surface in ``repro report``.
+over the whole run.  The run's wall time splits into ``decide_s`` (the sum
+of decision latencies), ``emulate_s`` (each tick's ``player.step`` loop:
+link, TCP, HTTP and player) and the event loop's own bookkeeping.
+Everything is instrumented through :mod:`repro.core.telemetry`
+(``serve.*`` spans, counters and series) so ``repro serve --telemetry``
+runs surface in ``repro report``.
 """
 
 from __future__ import annotations
@@ -128,6 +131,8 @@ class ServingMetrics:
     num_ticks: int
     wall_s: float
     decide_s: float
+    #: Wall time spent in the ticks' ``player.step`` loops (emulation).
+    emulate_s: float
     mean_batch_size: float
     max_batch_size: int
     decisions_per_s: float
@@ -143,6 +148,7 @@ class ServingMetrics:
             "num_ticks": self.num_ticks,
             "wall_s": self.wall_s,
             "decide_s": self.decide_s,
+            "emulate_s": self.emulate_s,
             "mean_batch_size": self.mean_batch_size,
             "max_batch_size": self.max_batch_size,
             "decisions_per_s": self.decisions_per_s,
@@ -362,6 +368,7 @@ class Fleet:
         tick_latencies: List[float] = []
         tick_sizes: List[int] = []
         num_decisions = 0
+        emulate_s = 0.0
 
         run_span = telemetry.span("serve.fleet_run", {
             "sessions": num_sessions, "traces": len(self.traces),
@@ -411,6 +418,7 @@ class Fleet:
                 telemetry.series("serve.batch_size", len(tick_sizes),
                                  len(batch))
 
+                emulate_start = time.perf_counter()
                 for index, action in zip(batch, actions):
                     session = sessions[index]
                     session.player.step(action)
@@ -420,11 +428,13 @@ class Fleet:
                     else:
                         heappush(heap, (session.arrival_s
                                         + session.player.clock_s, index))
+                emulate_s += time.perf_counter() - emulate_start
         wall_s = time.perf_counter() - run_start
 
         metrics = self._metrics(num_sessions, num_decisions, tick_latencies,
-                                tick_sizes, wall_s)
+                                tick_sizes, wall_s, emulate_s)
         telemetry.counter("serve.decide_s", metrics.decide_s)
+        telemetry.counter("serve.emulate_s", emulate_s)
         telemetry.counter("serve.wall_s", wall_s)
         return FleetResult(sessions=list(results), metrics=metrics)
 
@@ -432,7 +442,7 @@ class Fleet:
     @staticmethod
     def _metrics(num_sessions: int, num_decisions: int,
                  tick_latencies: List[float], tick_sizes: List[int],
-                 wall_s: float) -> ServingMetrics:
+                 wall_s: float, emulate_s: float) -> ServingMetrics:
         latencies = np.asarray(tick_latencies)
         sizes = np.asarray(tick_sizes)
         # Per-decision latency: every decision in a tick waited for the
@@ -447,6 +457,7 @@ class Fleet:
             num_ticks=len(tick_sizes),
             wall_s=wall_s,
             decide_s=float(latencies.sum()),
+            emulate_s=emulate_s,
             mean_batch_size=float(sizes.mean()) if sizes.size else 0.0,
             max_batch_size=int(sizes.max()) if sizes.size else 0,
             decisions_per_s=num_decisions / wall,

@@ -14,13 +14,20 @@ reference):
 
 * ``"prefix"`` (default) — analytic inversion of the cumulative
   delivery-opportunity prefix (the same prefix-lookup idiom as
-  :meth:`repro.traces.base.Trace.capacity_prefix`): one ``searchsorted``
+  :meth:`repro.traces.base.Trace.capacity_prefix`): one ``bisect_left``
   over the per-window cumulative packet counts finds the delivery window,
-  a division finds the position inside it.  O(log windows) per call.
+  a division finds the position inside it, and a short ``nextafter``
+  fix-up re-counts packets until the target is reached.  O(log windows)
+  per inversion.
 * ``"bisect"`` — the original cycle-doubling + 64-iteration binary search
   over :meth:`PacketDeliveryLink._packets_before`, kept as the tested
-  reference.  O(64 · log windows) per call; this was ~80% of serial
-  emulation runtime.
+  reference.  O(64 · log windows) per inversion.
+
+A transfer inverts the schedule once per TCP round (about 94 rounds per
+chunk on the serving workload), so the round loop in
+:meth:`repro.emulation.tcp.TCPConnection.transfer` runs the inversion
+inline on this module's cached schedule rather than calling
+:meth:`PacketDeliveryLink.time_to_deliver`, which stays the one-shot API.
 
 The two engines agree to floating-point inversion accuracy but are not
 bit-identical, so ``delivery_engine`` is part of the emulation result-store
@@ -34,6 +41,7 @@ of once per session.
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -62,11 +70,13 @@ class LinkConfig:
     granularity_ms: int = 100
     #: Random per-packet jitter applied to delivery times (std dev, seconds).
     jitter_std_s: float = 0.0
-    #: How :meth:`PacketDeliveryLink.time_to_deliver` inverts the delivery
-    #: schedule: ``"prefix"`` (analytic prefix lookup, fast default) or
-    #: ``"bisect"`` (binary search, the tested reference).  The engines agree
-    #: to inversion accuracy but not bitwise, so this field is keyed into the
-    #: emulation result store.
+    #: How the delivery schedule is inverted (by
+    #: :meth:`PacketDeliveryLink.time_to_deliver` and in every round of
+    #: :meth:`repro.emulation.tcp.TCPConnection.transfer`): ``"prefix"``
+    #: (analytic prefix lookup, fast default) or ``"bisect"`` (binary
+    #: search, the tested reference).  The engines agree to inversion
+    #: accuracy but not bitwise, so this field is keyed into the emulation
+    #: result store.
     delivery_engine: str = "prefix"
 
     @property
@@ -121,7 +131,7 @@ def _delivery_schedule(trace: Trace, granularity_ms: int) -> Tuple[np.ndarray, n
     cumulative = np.concatenate([[0], np.cumsum(packets_per_window)])
     # Plain-Python mirrors of the arrays for the per-round hot path: list
     # indexing and ``bisect`` beat NumPy scalar indexing / the searchsorted
-    # wrapper by several microseconds per call, which matters at ~50 TCP
+    # wrapper by several microseconds per call, which matters at ~94 TCP
     # rounds per chunk.
     schedule = (packets_per_window, cumulative, granularity_s,
                 n_windows * granularity_s, int(packets_per_window.sum()),
@@ -187,13 +197,16 @@ class PacketDeliveryLink:
                         rate_cap_bytes_per_s: Optional[float] = None) -> float:
         """Time at which ``num_bytes`` will have been delivered, starting at ``start_s``.
 
-        ``rate_cap_bytes_per_s`` optionally limits the sending rate (used by
-        the TCP model during slow start, when the sender — not the link — is
-        the bottleneck).
+        ``rate_cap_bytes_per_s`` optionally limits the sending rate: the
+        TCP model's round is capped at one congestion window per RTT, so in
+        rounds where the sender, not the link, is the bottleneck the cap
+        sets the end time.  :meth:`TCPConnection.transfer
+        <repro.emulation.tcp.TCPConnection.transfer>` performs this exact
+        computation inline in every round.
         """
         if num_bytes <= 0:
             return start_s
-        packets_needed = int(np.ceil(num_bytes / MTU_BYTES))
+        packets_needed = math.ceil(num_bytes / MTU_BYTES)
         if self._cycle_packets == 0:
             raise RuntimeError("link trace has zero capacity; nothing can be delivered")
         target = self._packets_before(start_s) + packets_needed
@@ -226,7 +239,7 @@ class PacketDeliveryLink:
         """Analytic inversion of the cumulative delivery prefix.
 
         Locates the cycle by integer division, the window by one
-        ``searchsorted`` over the cumulative packet counts, and the position
+        ``bisect_left`` over the cumulative packet counts, and the position
         inside the window by the uniform-spread model ``count = ⌊pw·frac⌋``.
         A bounded ``nextafter`` fix-up absorbs the few-ulp rounding of the
         analytic division so the invariant ``_packets_before(t) >= target``
@@ -248,7 +261,7 @@ class PacketDeliveryLink:
         for _ in range(64):
             if self._packets_before(t) >= target:
                 return t
-            t = float(np.nextafter(t, np.inf))
+            t = math.nextafter(t, math.inf)
         return self._invert_bisect(max(0.0, cycles * self._cycle_s), target)
 
     def throughput_between(self, start_s: float, end_s: float) -> float:

@@ -19,8 +19,10 @@ from simulation numbers in the paper's Table 4:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .link import MTU_BYTES, LinkConfig, PacketDeliveryLink
 
@@ -78,40 +80,122 @@ class TCPConnection:
 
         The transfer is simulated RTT by RTT: each round sends up to ``cwnd``
         segments, constrained by what the link can deliver in that round.
+
+        This is the emulation hot path (~94 rounds per chunk), so the round
+        loop is fused with the link's delivery-schedule inversion: the link's
+        cached schedule and the congestion state live in locals, and each
+        round performs exactly the float operations, in the same order, of
+        the one-shot ``link.time_to_deliver(now, to_send,
+        rate_cap_bytes_per_s=window_bytes / rtt)`` (``_packets_before`` of
+        the round start, then ``_invert_prefix`` or ``_invert_bisect``), so
+        results are bit-identical to calling it per round; that composition
+        is kept as the oracle in ``tests/test_tcp_rounds.py``.  The loop
+        skips one recomputation: when a round ends on the link-limited time,
+        the inversion has just counted the packets delivered by then, and
+        that count is the next round's start count.
         """
         if num_bytes <= 0:
             return TransferResult(start_s, start_s, 0.0, 0.0)
         self._maybe_idle_reset(start_s)
-        rtt = self.link.config.rtt_s
+        link = self.link
+        rtt = link.config.rtt_s
+        bisect_engine = link.config.delivery_engine == "bisect"
+        pw = link._pw_list
+        cum = link._cum_list
+        n_windows = link._n_windows
+        granularity_s = link._granularity_s
+        cycle_s = link._cycle_s
+        cycle_packets = link._cycle_packets
+        if cycle_packets == 0:
+            raise RuntimeError("link trace has zero capacity; nothing can be delivered")
+        max_cwnd = float(self.config.max_cwnd_segments)
+        loss_backoff = self.config.loss_backoff
+        cwnd = self.cwnd_segments
+        ssthresh = self.ssthresh_segments
         remaining = float(num_bytes)
         now = start_s
+        start_count = None  # packets the link has delivered by ``now``
 
         while remaining > 0:
-            window_bytes = self.cwnd_segments * MTU_BYTES
-            to_send = min(window_bytes, remaining)
+            window_bytes = cwnd * MTU_BYTES
+            to_send = remaining if remaining < window_bytes else window_bytes
             # The sender cannot exceed cwnd per RTT; the link cannot exceed its
             # delivery schedule.  The round ends when the last byte of this
             # window is delivered (at least one RTT passes per round).
             cap_rate = window_bytes / rtt
-            delivered_by = self.link.time_to_deliver(now, to_send,
-                                                     rate_cap_bytes_per_s=cap_rate)
-            round_end = max(delivered_by, now + rtt)
-            link_was_bottleneck = delivered_by > now + rtt + 1e-9
+            count = None  # packets the link has delivered by ``link_end``
+            if to_send <= 0:
+                delivered_by = link_end = now
+            else:
+                if start_count is None:
+                    start_count = link._packets_before(now)
+                target = start_count + math.ceil(to_send / MTU_BYTES)
+                if bisect_engine:
+                    link_end = link._invert_bisect(now, target)
+                else:
+                    # Prefix inversion: the cycle by integer division, the
+                    # window by one bisect over the cumulative counts, the
+                    # position inside it by the uniform-spread model, then a
+                    # bounded nextafter fix-up on the packet count (an inlined
+                    # ``_packets_before``; ``t`` is always positive here).
+                    cycles, rem = divmod(target, cycle_packets)
+                    if rem == 0:
+                        cycles -= 1
+                        rem = cycle_packets
+                    w = bisect_left(cum, rem) - 1
+                    t = (cycles * cycle_s
+                         + (w + (rem - cum[w]) / pw[w]) * granularity_s)
+                    for _ in range(64):
+                        full_cycles = int(t // cycle_s)
+                        remainder_s = t - full_cycles * cycle_s
+                        window = int(remainder_s / granularity_s)
+                        if window > n_windows:
+                            window = n_windows
+                        partial = cum[window]
+                        if window < n_windows:
+                            partial += int(pw[window] * (
+                                (remainder_s - window * granularity_s)
+                                / granularity_s))
+                        count = full_cycles * cycle_packets + partial
+                        if count >= target:
+                            break
+                        t = math.nextafter(t, math.inf)
+                    else:
+                        count = None
+                        t = link._invert_bisect(max(0.0, cycles * cycle_s),
+                                                target)
+                    link_end = t
+                if cap_rate > 0:
+                    sender_end = now + to_send / cap_rate
+                    delivered_by = (sender_end if sender_end > link_end
+                                    else link_end)
+                else:
+                    delivered_by = link_end
+            rtt_end = now + rtt
+            link_was_bottleneck = delivered_by > rtt_end + 1e-9
             remaining -= to_send
-            now = round_end
+            if rtt_end > delivered_by:
+                now = rtt_end
+                start_count = None
+            else:
+                now = delivered_by
+                start_count = count if now == link_end else None
 
             # Congestion control bookkeeping for the next round.
             if link_was_bottleneck:
                 # Treat link saturation as a loss event: multiplicative decrease.
-                self.ssthresh_segments = max(2.0, self.cwnd_segments * self.config.loss_backoff)
-                self.cwnd_segments = self.ssthresh_segments
-            elif self.cwnd_segments < self.ssthresh_segments:
-                self.cwnd_segments = min(self.cwnd_segments * 2.0,
-                                         float(self.config.max_cwnd_segments))
+                backed_off = cwnd * loss_backoff
+                ssthresh = backed_off if backed_off > 2.0 else 2.0
+                cwnd = ssthresh
+            elif cwnd < ssthresh:
+                grown = cwnd * 2.0
+                cwnd = max_cwnd if max_cwnd < grown else grown
             else:
-                self.cwnd_segments = min(self.cwnd_segments + 1.0,
-                                         float(self.config.max_cwnd_segments))
+                grown = cwnd + 1.0
+                cwnd = max_cwnd if max_cwnd < grown else grown
 
+        self.cwnd_segments = cwnd
+        self.ssthresh_segments = ssthresh
         self._last_activity_s = now
         duration = max(now - start_s, 1e-9)
         mbps = num_bytes * 8.0 / duration / 1e6

@@ -12,6 +12,7 @@ import pytest
 from repro.abr import BufferBasedPolicy, synthetic_video
 from repro.abr.env import HISTORY_LENGTH
 from repro.abr.state import original_state_function, original_states_gathered
+from repro.core import telemetry
 from repro.core.results import ResultStore
 from repro.emulation import (
     BatchedPolicy,
@@ -183,6 +184,23 @@ class TestFleetBitIdentity:
         assert (0.0 <= metrics.p50_decision_latency_s
                 <= metrics.p95_decision_latency_s
                 <= metrics.p99_decision_latency_s)
+        assert metrics.emulate_s > 0
+        assert metrics.decide_s + metrics.emulate_s <= metrics.wall_s
+        assert metrics.to_dict()["emulate_s"] == metrics.emulate_s
+
+    def test_report_splits_serve_wall_time(self, serve_video, trace_mix,
+                                           agent):
+        sink = telemetry.Telemetry()
+        previous = telemetry.set_telemetry(sink)
+        try:
+            metrics = Fleet(serve_video, trace_mix).run(agent, 6).metrics
+        finally:
+            telemetry.set_telemetry(previous)
+        serving = telemetry.summarize(sink.events)["serving"]
+        assert serving["emulate_s"] == metrics.emulate_s
+        assert serving["decide_s"] == metrics.decide_s
+        report = telemetry.render_report(sink.events)
+        assert "wall split" in report and "emulate" in report
 
 
 class TestBatchedPolicy:
