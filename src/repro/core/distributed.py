@@ -340,6 +340,9 @@ class RemoteExecutor:
         wfile = conn.makefile("w", encoding="utf-8", newline="\n")
         worker: Optional[_WorkerConn] = None
         try:
+            # Messages are small request/reply lines: with Nagle on, a JOB
+            # reply or a RESULT tail can wait for the peer's delayed ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             hello = _recv(rfile)
             if (not isinstance(hello, dict) or hello.get("type") != "HELLO"
                     or hello.get("protocol") != PROTOCOL_VERSION):
@@ -399,15 +402,16 @@ class RemoteExecutor:
                         epoch = batch.epochs[index]
                         batch.running[index] = (worker.name, epoch)
                         batch.dispatched += 1
+                        payload = _encode((batch.fn, batch.items[index]))
                         telemetry.counter("rpc.job_dispatched")
+                        telemetry.counter("rpc.job_bytes", len(payload))
                         return {
                             "type": "JOB",
                             "job": index,
                             "epoch": epoch,
                             "attempt": batch.failures[index],
                             "key": _item_fault_key(batch.items[index], index),
-                            "payload": _encode((batch.fn,
-                                                batch.items[index])),
+                            "payload": payload,
                         }
                 retry = self.config.idle_retry_s
                 if batch.queue:
@@ -445,6 +449,7 @@ class RemoteExecutor:
                     value=value, attempts=batch.failures[index] + 1)
                 batch.result_order.append(index)
                 telemetry.counter("rpc.result")
+                telemetry.counter("rpc.result_bytes", len(message["payload"]))
             else:
                 self._charge_locked(batch, index,
                                     str(message.get("error")
@@ -770,6 +775,7 @@ def _execute_job(message: Dict[str, Any], wfile: IO[str],
 def _serve_session(sock: socket.socket) -> str:
     """One connected session; returns "bye", "drop", "lost" or "reject"."""
     sock.settimeout(None)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see _serve_conn
     rfile = sock.makefile("r", encoding="utf-8", newline="\n")
     wfile = sock.makefile("w", encoding="utf-8", newline="\n")
     wlock = threading.Lock()

@@ -385,6 +385,13 @@ def write_chrome_trace(events: Sequence[TelemetryEvent], path: str) -> str:
     return path
 
 
+def _per(counters: Dict[str, float], total: str,
+         count: str) -> Optional[float]:
+    """``counters[total] / counters[count]``, or None without any ``count``."""
+    n = counters.get(count, 0.0)
+    return counters.get(total, 0.0) / n if n else None
+
+
 def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
     """Aggregate events into the structures ``repro report`` renders.
 
@@ -497,6 +504,12 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
                 int(counters.get("rpc.heartbeat_timeout", 0.0)),
             "local_fallbacks": int(counters.get("rpc.fallback_local", 0.0)),
             "rejects": int(counters.get("rpc.reject", 0.0)),
+            "job_bytes": int(counters.get("rpc.job_bytes", 0.0)),
+            "result_bytes": int(counters.get("rpc.result_bytes", 0.0)),
+            "mean_job_bytes": _per(counters, "rpc.job_bytes",
+                                   "rpc.job_dispatched"),
+            "mean_result_bytes": _per(counters, "rpc.result_bytes",
+                                      "rpc.result"),
         },
         "serving": {
             "fleet_runs": int(spans.get("serve.fleet_run", {}).get("count", 0)),
@@ -506,10 +519,8 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             "decide_s": counters.get("serve.decide_s", 0.0),
             "emulate_s": counters.get("serve.emulate_s", 0.0),
             "wall_s": counters.get("serve.wall_s", 0.0),
-            "decisions_per_s": (
-                counters.get("serve.decisions", 0.0)
-                / counters.get("serve.wall_s", 0.0)
-                if counters.get("serve.wall_s", 0.0) > 0 else None),
+            "decisions_per_s": _per(counters, "serve.decisions",
+                                    "serve.wall_s"),
         },
         "designs": slowest,
         "series": series_stats,
@@ -574,17 +585,24 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
 
     distributed = summary["distributed"]
     if distributed["workers_connected"] or distributed["jobs_dispatched"]:
-        lines.append(f"distributed       : "
-                     f"{distributed['workers_connected']} worker(s) "
-                     f"connected / {distributed['workers_lost']} lost / "
-                     f"{distributed['workers_respawned']} respawned; "
-                     f"{distributed['jobs_dispatched']} dispatched, "
-                     f"{distributed['results']} results "
-                     f"({distributed['results_fenced']} fenced), "
-                     f"{distributed['requeues']} requeue(s), "
-                     f"{distributed['heartbeat_timeouts']} heartbeat "
-                     f"timeout(s), {distributed['local_fallbacks']} local "
-                     f"fallback(s)")
+        line = (f"distributed       : "
+                f"{distributed['workers_connected']} worker(s) "
+                f"connected / {distributed['workers_lost']} lost / "
+                f"{distributed['workers_respawned']} respawned; "
+                f"{distributed['jobs_dispatched']} dispatched, "
+                f"{distributed['results']} results "
+                f"({distributed['results_fenced']} fenced), "
+                f"{distributed['requeues']} requeue(s), "
+                f"{distributed['heartbeat_timeouts']} heartbeat "
+                f"timeout(s), {distributed['local_fallbacks']} local "
+                f"fallback(s)")
+        job_bytes = distributed["mean_job_bytes"]
+        if job_bytes is not None:
+            result_bytes = distributed["mean_result_bytes"]
+            line += (f"; {job_bytes:,.0f} B/job out, "
+                     + (f"{result_bytes:,.0f} B/result back"
+                        if result_bytes is not None else "no results back"))
+        lines.append(line)
 
     serving = summary["serving"]
     if serving["fleet_runs"]:

@@ -28,6 +28,8 @@ chunk on the serving workload), so the round loop in
 :meth:`repro.emulation.tcp.TCPConnection.transfer` runs the inversion
 inline on this module's cached schedule rather than calling
 :meth:`PacketDeliveryLink.time_to_deliver`, which stays the one-shot API.
+On the prefix engine the loop skips the inversion in rounds the link is
+ahead of, with the same result.
 
 The two engines agree to floating-point inversion accuracy but are not
 bit-identical, so ``delivery_engine`` is part of the emulation result-store

@@ -84,15 +84,37 @@ class TCPConnection:
         This is the emulation hot path (~94 rounds per chunk), so the round
         loop is fused with the link's delivery-schedule inversion: the link's
         cached schedule and the congestion state live in locals, and each
-        round performs exactly the float operations, in the same order, of
-        the one-shot ``link.time_to_deliver(now, to_send,
-        rate_cap_bytes_per_s=window_bytes / rtt)`` (``_packets_before`` of
-        the round start, then ``_invert_prefix`` or ``_invert_bisect``), so
-        results are bit-identical to calling it per round; that composition
-        is kept as the oracle in ``tests/test_tcp_rounds.py``.  The loop
-        skips one recomputation: when a round ends on the link-limited time,
-        the inversion has just counted the packets delivered by then, and
-        that count is the next round's start count.
+        round ends exactly where the one-shot ``link.time_to_deliver(now,
+        to_send, rate_cap_bytes_per_s=window_bytes / rtt)``
+        (``_packets_before`` of the round start, then ``_invert_prefix`` or
+        ``_invert_bisect``) would end it.  Except for the two skips below,
+        it performs the same float operations in the same order, so results
+        are bit-identical to calling it per round; that composition is kept
+        as the oracle in ``tests/test_tcp_rounds.py``.
+
+        On the prefix engine the loop skips two pieces of work:
+
+        * **Rounds the link is ahead of skip the inversion.**  A round never
+          ends before its clock, the later of the sender's window clock
+          ``now + to_send / cap_rate`` and ``now + rtt``.  When the analytic
+          start lies before that clock, the ``nextafter`` fix-up starts at
+          the clock.  If the link has delivered the round's packets by then
+          (a sender-limited round, about 78 % of the serving workload's
+          rounds), one packet count confirms it and the round ends on its
+          clock.  This is exact: the count never decreases in time, and the
+          fix-up walks up one float at a time and stops at the first time
+          whose count reaches the target.  So the walk from the analytic
+          start ends at or before the clock exactly when the clock's count
+          reaches the target, and the round ends at the later of the two
+          either way.  Otherwise the walk from the clock reaches the same
+          first float as the walk from the analytic start.
+        * **The link is counted once per transfer.**  Every round then ends
+          on the time whose packet count the fix-up computed last, and that
+          count is the next round's start count.
+
+        Both rest on the fix-up converging within its 64-step budget, so
+        that the bisect fallback never answers; the tests bound the walk
+        at 4 steps.  The ``bisect`` engine keeps its full inversion.
         """
         if num_bytes <= 0:
             return TransferResult(start_s, start_s, 0.0, 0.0)
@@ -123,6 +145,7 @@ class TCPConnection:
             # delivery schedule.  The round ends when the last byte of this
             # window is delivered (at least one RTT passes per round).
             cap_rate = window_bytes / rtt
+            rtt_end = now + rtt
             count = None  # packets the link has delivered by ``link_end``
             if to_send <= 0:
                 delivered_by = link_end = now
@@ -130,6 +153,8 @@ class TCPConnection:
                 if start_count is None:
                     start_count = link._packets_before(now)
                 target = start_count + math.ceil(to_send / MTU_BYTES)
+                sender_end = (now + to_send / cap_rate if cap_rate > 0
+                              else -math.inf)
                 if bisect_engine:
                     link_end = link._invert_bisect(now, target)
                 else:
@@ -145,6 +170,13 @@ class TCPConnection:
                     w = bisect_left(cum, rem) - 1
                     t = (cycles * cycle_s
                          + (w + (rem - cum[w]) / pw[w]) * granularity_s)
+                    # The round cannot end before its clock (the sender's
+                    # window clock or one RTT), so the fix-up may start
+                    # there: if the link is ahead of the round, the first
+                    # count confirms it and the round ends on its clock.
+                    clock_end = sender_end if sender_end > rtt_end else rtt_end
+                    if t < clock_end:
+                        t = clock_end
                     for _ in range(64):
                         full_cycles = int(t // cycle_s)
                         remainder_s = t - full_cycles * cycle_s
@@ -165,13 +197,8 @@ class TCPConnection:
                         t = link._invert_bisect(max(0.0, cycles * cycle_s),
                                                 target)
                     link_end = t
-                if cap_rate > 0:
-                    sender_end = now + to_send / cap_rate
-                    delivered_by = (sender_end if sender_end > link_end
-                                    else link_end)
-                else:
-                    delivered_by = link_end
-            rtt_end = now + rtt
+                delivered_by = (sender_end if sender_end > link_end
+                                else link_end)
             link_was_bottleneck = delivered_by > rtt_end + 1e-9
             remaining -= to_send
             if rtt_end > delivered_by:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -50,7 +51,7 @@ from repro.core import (
     run_worker,
     telemetry,
 )
-from repro.core.distributed import PROTOCOL_VERSION
+from repro.core.distributed import PROTOCOL_VERSION, _encode, _serve_session
 from repro.llm import StateDesignSpace, StateDesignSpec
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -173,6 +174,26 @@ class TestProtocol:
                     executor.config.heartbeat_interval_s
                 assert executor.wait_for_workers(1, timeout=10.0)
 
+    def test_nodelay_on_both_ends(self):
+        """JOB/RESULT lines go out at once: Nagle is off at both ends."""
+        with _fresh_executor() as executor:
+            sock = socket.create_connection(executor.address, timeout=10.0)
+            assert not sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            session = threading.Thread(target=_serve_session, args=(sock,),
+                                       daemon=True)
+            session.start()
+            try:
+                assert executor.wait_for_workers(1, timeout=10.0)
+                (worker,) = executor._workers.values()
+                assert worker.conn.getsockopt(socket.IPPROTO_TCP,
+                                              socket.TCP_NODELAY)
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                executor.close()
+                session.join(timeout=10.0)
+                sock.close()
+        assert not session.is_alive()
+
     def test_unreachable_coordinator_exit_code(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -197,6 +218,23 @@ class TestRemoteExecution:
             assert executor.last_stats["fallback_local"] == 0
             assert sorted(executor.last_stats["result_order"]) == \
                 list(range(6))
+
+    def test_transport_byte_counters(self):
+        """``rpc.job_bytes``/``rpc.result_bytes`` sum the encoded payloads."""
+        items = [1, 2, 3]
+        with telemetry.capture() as sink, \
+                _fresh_executor(launch=1) as executor:
+            outcomes = executor.run(_times_ten, items)
+        assert [o.value for o in outcomes] == [10, 20, 30]
+        job_bytes = sum(len(_encode((_times_ten, item))) for item in items)
+        result_bytes = sum(len(_encode(item * 10)) for item in items)
+        distributed = telemetry.summarize(sink.events)["distributed"]
+        assert distributed["job_bytes"] == job_bytes
+        assert distributed["result_bytes"] == result_bytes
+        assert distributed["mean_job_bytes"] == job_bytes / 3
+        assert distributed["mean_result_bytes"] == result_bytes / 3
+        assert f"{job_bytes / 3:,.0f} B/job out" in \
+            telemetry.render_report(sink.events)
 
     def test_empty_batch_is_a_noop(self):
         with _fresh_executor() as executor:

@@ -8,10 +8,19 @@ or bisect inversion).  The fused loop must reproduce it bit for bit — end
 time, throughput and the connection's congestion state after every transfer
 — on both delivery engines, and a fleet must stay bit-identical to a serial
 run that uses the reference.
+
+On the prefix engine the fused loop starts the inversion's ``nextafter``
+fix-up at the round's clock (the later of the sender's window clock and one
+RTT) when the analytic start lies before it, so a round the link is ahead
+of costs one packet count.  The constructed rounds below put that clock
+exactly on the link-limited end, on window and cycle boundaries, after the
+analytic start and on a final partial window; the property test bounds the
+fix-up walk the exactness argument rests on.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Optional
 
@@ -254,6 +263,230 @@ def test_one_shot_time_to_deliver_matches_reference():
                 expected = reference_time_to_deliver(link, start, num_bytes,
                                                      cap)
                 assert _bits(got) == _bits(expected), (engine, kind, start)
+
+
+# --------------------------------------------------------------------------- #
+# Rounds whose clock the link is ahead of.
+# --------------------------------------------------------------------------- #
+def _analytic_start(link: PacketDeliveryLink, target: int) -> float:
+    """Where the prefix inversion's fix-up walk starts for ``target``."""
+    cycles, rem = divmod(target, link._cycle_packets)
+    if rem == 0:
+        cycles -= 1
+        rem = link._cycle_packets
+    w = bisect_left(link._cum_list, rem) - 1
+    return (cycles * link._cycle_s
+            + (w + (rem - link._cum_list[w]) / link._pw_list[w])
+            * link._granularity_s)
+
+
+def _walk_steps(link: PacketDeliveryLink, target: int) -> int:
+    """``nextafter`` steps from the analytic start to the target's count."""
+    t = _analytic_start(link, target)
+    steps = 0
+    while link._packets_before(t) < target and steps < 64:
+        t = math.nextafter(t, math.inf)
+        steps += 1
+    return steps
+
+
+def _first_round(link: PacketDeliveryLink, start_s: float, cwnd: int,
+                 to_send: float) -> tuple:
+    """``(target, sender_end, rtt_end)`` of a transfer's first round."""
+    rtt = link.config.rtt_s
+    target = link._packets_before(start_s) + math.ceil(to_send / MTU_BYTES)
+    sender_end = start_s + to_send / (cwnd * MTU_BYTES / rtt)
+    return target, sender_end, start_s + rtt
+
+
+def _round_ending_at(link: PacketDeliveryLink, clock: float, target: int,
+                     partial: bool = False) -> Optional[tuple]:
+    """``(start_s, cwnd, to_send)`` of a first round with ``target`` whose
+    clock is exactly ``clock``: its sender's window clock when ``partial``
+    is false (a full window), else its RTT end (a partial window)."""
+    start = clock - link.config.rtt_s
+    for direction in (math.inf, -math.inf):
+        s = start
+        for _ in range(64):
+            before = link._packets_before(s)
+            needed = target - before
+            cwnd = 1024 if partial else needed
+            if 1 <= needed <= 1024:
+                to_send = (needed - 0.5 if partial else needed) * MTU_BYTES
+                got = _first_round(link, s, cwnd, to_send)
+                end = got[2] if partial else got[1]
+                if (got[0] == target and end == clock
+                        and (got[1] < got[2] if partial
+                             else got[1] >= got[2])):
+                    return s, cwnd, to_send
+            s = math.nextafter(s, direction)
+    return None
+
+
+def _check_round(link: PacketDeliveryLink, clock: float, target: int,
+                 partial: bool = False) -> bool:
+    """Run the constructed round through both loops, followed by the
+    rounds that start from its carried count (a full window) or by a
+    second transfer (a partial window, which ends its transfer)."""
+    found = _round_ending_at(link, clock, target, partial)
+    if found is None:
+        return False
+    start_s, cwnd, to_send = found
+    config = TCPConfig(initial_cwnd_segments=cwnd,
+                       initial_ssthresh_segments=2048,
+                       max_cwnd_segments=2048)
+    body = to_send if partial else to_send + 2.5 * cwnd * MTU_BYTES
+    _assert_sequences_match(link, config, start_s,
+                            [(0.0, body), (0.0, to_send)])
+    return True
+
+
+#: One-way delays: a round's full-window clock equals its RTT end at 40 ms;
+#: at 12.3 ms it can fall an ulp before or after it, depending on cwnd.
+CLOCK_DELAYS_S = (0.04, 0.0123)
+
+
+def _clock_link(trace_kind: str = "random",
+                delay_s: float = 0.04) -> PacketDeliveryLink:
+    return PacketDeliveryLink(TRACES[trace_kind](),
+                              LinkConfig(one_way_delay_s=delay_s,
+                                         granularity_ms=100))
+
+
+def _targets(link: PacketDeliveryLink):
+    return range(40, 3 * link._cycle_packets, 37)
+
+
+@pytest.mark.parametrize("delay_s", CLOCK_DELAYS_S)
+def test_clock_on_link_limited_end_after_analytic_start(delay_s):
+    """The walk from the analytic start ends exactly on the round's clock."""
+    link = _clock_link(delay_s=delay_s)
+    hits = 0
+    for target in _targets(link):
+        if _walk_steps(link, target) == 0:
+            continue
+        link_end = reference_invert_prefix(link, target)
+        assert _analytic_start(link, target) < link_end
+        hits += _check_round(link, link_end, target)
+        hits += _check_round(link, link_end, target, partial=True)
+    assert hits >= 5
+
+
+@pytest.mark.parametrize("delay_s", CLOCK_DELAYS_S)
+def test_clock_on_link_limited_end_at_analytic_start(delay_s):
+    """The analytic start is the link-limited end and the round's clock."""
+    link = _clock_link(delay_s=delay_s)
+    hits = 0
+    for target in _targets(link):
+        t0 = _analytic_start(link, target)
+        if link._packets_before(t0) >= target:
+            assert reference_invert_prefix(link, target) == t0
+            hits += _check_round(link, t0, target)
+    assert hits >= 5
+
+
+@pytest.mark.parametrize("delay_s", CLOCK_DELAYS_S)
+@pytest.mark.parametrize("trace_kind", sorted(TRACES))
+def test_clock_before_analytic_start(trace_kind, delay_s):
+    """``t0 >= sender_end``: the clock's count already reaches the target a
+    float below the analytic start, where the walk starts and stops; the
+    round must end at the analytic start, not on its clock.  About 1 % of
+    targets have such a float, so every target is tried."""
+    link = _clock_link(trace_kind, delay_s)
+    hits = 0
+    for target in range(1, 3 * link._cycle_packets):
+        t0 = _analytic_start(link, target)
+        below = math.nextafter(t0, -math.inf)
+        if link._packets_before(below) >= target:
+            assert reference_invert_prefix(link, target) == t0
+            hits += _check_round(link, below, target)
+    assert hits >= 5
+
+
+@pytest.mark.parametrize("delay_s", CLOCK_DELAYS_S)
+@pytest.mark.parametrize("boundary", ("window", "cycle"))
+@pytest.mark.parametrize("trace_kind", sorted(TRACES))
+def test_clock_on_schedule_boundary(boundary, trace_kind, delay_s):
+    """The clock lands on a window (or cycle) start, where the count steps
+    up, with the link one packet ahead of the round, exactly caught up
+    (count == target) or one packet short of it."""
+    link = _clock_link(trace_kind, delay_s)
+    if boundary == "window":
+        clocks = [w * link._granularity_s
+                  for w in range(3, 3 * link._n_windows, 7)]
+    else:
+        clocks = [k * link._cycle_s for k in range(1, 6)]
+    hits = 0
+    for clock in clocks:
+        count = link._packets_before(clock)
+        for target in (count - 1, count, count + 1):
+            hits += _check_round(link, clock, target)
+            hits += _check_round(link, clock, target, partial=True)
+    assert hits >= len(clocks)
+
+
+def _fast_trace() -> Trace:
+    """40-60 Mbps: the link stays ahead of the sender in most rounds."""
+    return Trace(np.arange(0.0, 10.0, 1.0), np.linspace(40.0, 60.0, 10),
+                 name="fast")
+
+
+def test_final_partial_windows_on_a_fast_link():
+    """Sender-limited transfers whose last round is a partial window."""
+    for engine in ("prefix", "bisect"):
+        link = PacketDeliveryLink(_fast_trace(),
+                                  LinkConfig(delivery_engine=engine))
+        bodies = [(0.0, (k + 0.37) * MTU_BYTES) for k in (5, 23, 150, 900)]
+        for tcp_kind in sorted(TCP_CONFIGS):
+            _assert_sequences_match(link, TCP_CONFIGS[tcp_kind], 0.01,
+                                    bodies)
+
+
+@pytest.mark.parametrize("cwnd", (10, 13, 19))
+@pytest.mark.parametrize("delay_s", CLOCK_DELAYS_S)
+@pytest.mark.parametrize("trace_kind", sorted(TRACES) + ["fast"])
+def test_prefix_engine_counts_the_link_once_per_transfer(trace_kind, delay_s,
+                                                         cwnd):
+    """Every prefix round ends on a time whose count the loop computed, so
+    only a transfer's start calls ``_packets_before``.  At 12.3 ms a full
+    window of 13 (19) segments has a sender clock an ulp after (before) the
+    RTT end; near time zero that ulp survives the addition to ``now``."""
+    trace = _fast_trace() if trace_kind == "fast" else TRACES[trace_kind]()
+    link = PacketDeliveryLink(trace, LinkConfig(one_way_delay_s=delay_s))
+    calls = []
+    counted = link._packets_before
+
+    def counting(time_s):
+        calls.append(time_s)
+        return counted(time_s)
+
+    link._packets_before = counting
+    connection = TCPConnection(link, TCPConfig(initial_cwnd_segments=cwnd,
+                                               initial_ssthresh_segments=cwnd))
+    now = 0.0
+    transfers = [2_000_000.0] + [body for _, body in TRANSFER_SEQUENCE
+                                 if body > 0]
+    for body in transfers:
+        now = connection.transfer(now, body).end_s
+    assert len(calls) == len(transfers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_seed=st.integers(0, 10_000),
+       zero_fraction=st.sampled_from((0.0, 0.2, 0.5)),
+       granularity_ms=st.sampled_from((1, 7, 100, 500)),
+       cycles=st.sampled_from((0, 1, 7, 120, 1_000)),
+       offsets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_prefix_fixup_walk_is_short(trace_seed, zero_fraction, granularity_ms,
+                                    cycles, offsets):
+    """The ``nextafter`` fix-up never gets near its 64-step budget, so the
+    bisect fallback never answers for the prefix engine."""
+    link = PacketDeliveryLink(_random_trace(trace_seed, zero_fraction),
+                              LinkConfig(granularity_ms=granularity_ms))
+    for offset in offsets:
+        target = cycles * link._cycle_packets + 1 + int(
+            offset * (link._cycle_packets - 1))
+        assert _walk_steps(link, target) <= 4, target
 
 
 # --------------------------------------------------------------------------- #
