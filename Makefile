@@ -71,29 +71,39 @@ campaign-smoke:
 	rm -rf .campaign-smoke-store .campaign-smoke-telemetry .campaign-smoke-trace.json
 
 # Serving smoke: a tiny fleet driven through `repro serve` with telemetry and
-# a Chrome trace.  The JSON output is validated for the serving contract
-# (p50/p95/p99 decision latency, decisions/sec, sessions/sec all present and
-# sane; the decide/emulate split present and within the wall time), the
-# Chrome trace for loadability, and the `repro report` summary for
-# the serving section the fleet's serve.* counters feed.
+# a Chrome trace, split over two shard processes.  The JSON output is
+# validated for the serving contract (p50/p95/p99 decision latency,
+# decisions/sec, sessions/sec all present and sane; the decide/emulate split
+# present and within the wall time of every shard), the per-session actions
+# against a one-shard run, the Chrome trace for loadability, and the
+# `repro report` summary for the serving section the fleet's serve.*
+# counters feed.
 serve-smoke:
 	rm -rf .serve-smoke-telemetry .serve-smoke-trace.json
 	$(PYTHON) -m repro serve --sessions 32 --dataset-scale 0.03 --num-chunks 6 \
-	    --json --telemetry .serve-smoke-telemetry --trace .serve-smoke-trace.json \
-	    > serve-smoke-metrics.json
+	    --workers 2 --json --telemetry .serve-smoke-telemetry \
+	    --trace .serve-smoke-trace.json > serve-smoke-metrics.json
+	$(PYTHON) -m repro serve --sessions 32 --dataset-scale 0.03 --num-chunks 6 \
+	    --workers 1 --json > serve-smoke-metrics-1shard.json
 	$(PYTHON) -c "import json; m = json.load(open('serve-smoke-metrics.json'))['metrics']; \
 	    assert m['num_sessions'] == 32 and m['num_decisions'] == 32 * 6; \
 	    assert m['decisions_per_s'] > 0 and m['sessions_per_s'] > 0; \
 	    assert 0.0 <= m['p50_decision_latency_s'] <= m['p95_decision_latency_s'] <= m['p99_decision_latency_s']; \
 	    assert 'emulate_s' in m and m['emulate_s'] > 0, 'emulate_s missing'; \
-	    assert m['decide_s'] + m['emulate_s'] <= m['wall_s'], 'decide + emulate exceeds wall'; \
-	    print(f\"serve metrics OK: {m['decisions_per_s']:.0f} dec/s, p99 {m['p99_decision_latency_s']*1e3:.2f} ms, decide {m['decide_s']:.3f} s + emulate {m['emulate_s']:.3f} s of {m['wall_s']:.3f} s wall\")"
+	    assert m['shards'] == 2, m['shards']; \
+	    assert m['decide_s'] + m['emulate_s'] <= m['wall_s'] * m['shards'], 'decide + emulate exceeds wall x shards'; \
+	    print(f\"serve metrics OK: {m['decisions_per_s']:.0f} dec/s, p99 {m['p99_decision_latency_s']*1e3:.2f} ms, decide {m['decide_s']:.3f} s + emulate {m['emulate_s']:.3f} s over {m['shards']} shards of {m['wall_s']:.3f} s wall\")"
+	$(PYTHON) -c "import json; a, b = (json.load(open(p)) for p in ('serve-smoke-metrics.json', 'serve-smoke-metrics-1shard.json')); \
+	    assert a['actions_sha256'] == b['actions_sha256'], 'sharded actions differ from one shard'; \
+	    assert b['metrics']['shards'] == 1 and b['metrics']['num_decisions'] == a['metrics']['num_decisions']; \
+	    print(f\"shard actions OK: {a['actions_sha256'][:16]} at 2 shards and 1\")"
 	$(PYTHON) -c "import json; t = json.load(open('.serve-smoke-trace.json'))['traceEvents']; assert t and all({'name', 'ph', 'ts'} <= set(e) for e in t), 'malformed Chrome trace'; print(f'trace OK: {len(t)} events')"
 	$(PYTHON) -c "from repro.core import telemetry; \
 	    s = telemetry.summarize(telemetry.load_events('.serve-smoke-telemetry'))['serving']; \
-	    assert s['fleet_runs'] == 1 and s['sessions'] == 32 and s['decisions'] == 32 * 6, s; \
+	    assert s['fleet_runs'] == 1 and s['sessions'] == 32 and s['decisions'] == 32 * 6 and s['shards'] == 2, s; \
 	    print(f\"report serving section OK: {s['decisions']} decisions in {s['ticks']} ticks\")"
-	rm -rf .serve-smoke-telemetry .serve-smoke-trace.json serve-smoke-metrics.json
+	rm -rf .serve-smoke-telemetry .serve-smoke-trace.json serve-smoke-metrics.json \
+	    serve-smoke-metrics-1shard.json
 
 # Chaos smoke: the tiny two-environment campaign again, but with the
 # deterministic fault harness armed -- every job's first attempt raises, one

@@ -11,7 +11,13 @@ compares them against the committed ``benchmarks/BENCH_*.json`` reports:
 * **serving** — the fleet-serving A/B behind ``BENCH_serving.json``
   (per-session serial emulation vs the batched fleet harness), at a reduced
   session count; the fleet must additionally stay bit-identical to its
-  matched serial reference.
+  matched serial reference.  The speedup compared with the committed ratio
+  is the 1-shard fleet's (like for like on any core count); when this
+  process may use two or more CPUs, the fleet sharded over them must also
+  reach ``MIN_SHARD_SPEEDUP`` over the 1-shard fleet.  That check is
+  skipped with the reason printed on one CPU, and when too few 1-shard /
+  sharded pairs had their cores (other load on a shared host) to resolve
+  the ratio.
 
 Two properties are enforced per workload:
 
@@ -52,7 +58,8 @@ from dataclasses import replace
 from typing import List, Optional
 
 from bench_scales import (DEFAULT_BENCH_SCALE, run_benchmark,
-                          run_generated_benchmark, run_serving_benchmark)
+                          run_generated_benchmark, run_serving_benchmark,
+                          shard_summary)
 
 BASELINES = {
     "engine": "BENCH_baseline.json",
@@ -62,7 +69,11 @@ BASELINES = {
 
 #: Session count for the smoke-gate serving run (the committed report uses
 #: ``bench_scales.SERVING_SESSIONS``; the ratio is stable well below that).
-SMOKE_SERVING_SESSIONS = 64
+SMOKE_SERVING_SESSIONS = 128
+
+#: Floor on the sharded fleet's speedup over the 1-shard fleet, where it
+#: resolves (``bench_scales.shard_summary``).
+MIN_SHARD_SPEEDUP = 1.25
 
 #: Reduced scale for the smoke-gate runs (the committed reports use the full
 #: DEFAULT_BENCH_SCALE; the gate only needs enough work for a stable ratio).
@@ -100,6 +111,17 @@ def _check(name: str, fresh: dict, baseline: Optional[dict],
         failures.append(
             f"{name}: fresh speedup {speedup:.2f}x fell below "
             f"{min_fraction:.0%} of the committed {committed:.2f}x")
+
+
+def _check_shard_scaling(fresh: dict, failures: List[str]) -> None:
+    """The sharded fleet must beat the 1-shard fleet where that resolves."""
+    speedup = fresh["shard_speedup"]
+    print(f"sharding : {shard_summary(fresh)} (floor "
+          f"{MIN_SHARD_SPEEDUP:.2f}x)")
+    if speedup is not None and speedup < MIN_SHARD_SPEEDUP:
+        failures.append(f"serving: {fresh['shards']}-shard fleet only "
+                        f"{speedup:.2f}x the 1-shard fleet (floor "
+                        f"{MIN_SHARD_SPEEDUP:.2f}x)")
 
 
 def _check_telemetry_overhead(max_fraction: float,
@@ -194,6 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures.append("serving: fleet sessions diverged from the "
                             "matched serial reference — the batched harness "
                             "changed results")
+        _check_shard_scaling(fresh, failures)
     if "telemetry" not in args.skip:
         _check_telemetry_overhead(args.max_telemetry_overhead, failures)
 

@@ -37,6 +37,7 @@ import argparse
 import contextlib
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -584,6 +585,31 @@ def run_campaign_benchmark(scale: Optional[ExperimentScale] = None,
 #: Scale used by the committed serving benchmark (``BENCH_serving.json``).
 SERVING_SESSIONS = 256
 
+#: Alternating 1-shard / sharded fleet passes of the serving benchmark.
+FLEET_REPEATS = 15
+
+#: A fleet pass had its cores when every shard spent at least this share
+#: of its wall time on a CPU (``ServingMetrics.shard_cpu_share``).  A pass
+#: below it shared a CPU with other load, so its pair cannot show what
+#: sharding gains.
+CORES_THERE = 0.75
+
+#: With fewer pairs whose both passes had their cores, ``shard_speedup`` is
+#: unresolved (None).
+MIN_RESOLVED_PAIRS = 5
+
+
+def shard_summary(report: dict) -> str:
+    """One line on the sharding A/B of a serving report."""
+    if report["shards"] < 2:
+        return "1 usable CPU; the default fleet runs in one process"
+    pairs = (f"{report['shard_pairs_resolved']} of {FLEET_REPEATS} pairs "
+             f"had their cores")
+    if report["shard_speedup"] is None:
+        return f"unresolved ({pairs})"
+    return (f"{report['shard_speedup']:.2f}x, 1-shard fleet -> "
+            f"{report['shards']} shards ({pairs})")
+
 
 def _session_signature(result) -> list:
     """Bitwise comparison key of one emulated session."""
@@ -600,7 +626,7 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
                           batch_window_s: float = 0.25) -> dict:
     """A/B the batched fleet harness against the per-session serial loop.
 
-    Three passes stream the same ``num_sessions`` sessions (a mixed trace
+    Four passes stream the same ``num_sessions`` sessions (a mixed trace
     set, sessions assigned round-robin) with the same fresh original agent:
 
     * **serial reference** — the pre-fleet serving path exactly as the seed
@@ -608,16 +634,26 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
       forward per decision, sessions back to back;
     * **serial matched** — the same per-observation loop on the ``prefix``
       link engine (isolates the link-inversion win from the batching win);
-    * **fleet** — the event-driven fleet: ``prefix`` engine, every decision
-      tick answered by ONE batched policy forward.
+    * **1-shard fleet** — the event-driven fleet in one process
+      (``FleetConfig.workers=1``): ``prefix`` engine, every decision tick
+      answered by ONE batched policy forward;
+    * **fleet** — the same fleet split over one shard process per usable
+      CPU (the default ``workers=None``).
 
-    The headline ``speedup`` compares the fleet against the serial
-    reference; ``batched_only_speedup`` is fleet vs serial matched.  The
-    fleet must be **bit-identical, session for session, to the matched
-    serial pass** (same engine ⇒ same bits; the report refuses to claim a
-    speedup otherwise), while the cross-engine comparison is held to a
-    score tolerance because prefix/bisect inversions agree to ~1e-14
-    seconds, not bitwise.
+    The headline ``speedup`` compares the 1-shard fleet against the serial
+    reference and ``batched_only_speedup`` compares it against serial
+    matched, so both stay like for like on any core count;
+    ``shard_speedup`` is the 1-shard fleet over the sharded one.  The two
+    fleet passes alternate ``FLEET_REPEATS`` times; each reports its median
+    seconds and, per repeat, its ``shard_cpu_share``.  A pair is
+    *resolved* when both passes had their cores (that share >=
+    ``CORES_THERE``); ``shard_speedup`` is the median of the resolved
+    pairs' ratios, and None ("unresolved") with fewer than
+    ``MIN_RESOLVED_PAIRS`` of them or with one shard.  Both fleets must be **bit-identical, session for
+    session, to the matched serial pass** (same engine ⇒ same bits; the
+    report refuses to claim a speedup otherwise), while the cross-engine
+    comparison is held to a score tolerance because prefix/bisect
+    inversions agree to ~1e-14 seconds, not bitwise.
     """
     from repro.core.evaluation import instantiate_agent
     from repro.emulation import EmulationConfig, Fleet, FleetConfig, LinkConfig
@@ -633,11 +669,12 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
         agent = instantiate_agent(None, None, video, setups[0].train_traces,
                                   seed=seed)
 
-        def fleet_for(engine: str) -> Fleet:
+        def fleet_for(engine: str, workers: Optional[int] = None) -> Fleet:
             link = replace(LinkConfig(), delivery_engine=engine)
             return Fleet(video, traces, config=FleetConfig(
                 emulation=EmulationConfig(link=link),
-                arrival_process="poisson", batch_window_s=batch_window_s))
+                arrival_process="poisson", batch_window_s=batch_window_s,
+                workers=workers))
 
         reference_fleet = fleet_for("bisect")
         start = time.perf_counter()
@@ -649,15 +686,35 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
         matched = fast_fleet.serial_reference(agent, num_sessions)
         matched_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        fleet_result = fast_fleet.run(agent, num_sessions)
-        fleet_s = time.perf_counter() - start
+        one_shard_fleet = fleet_for("prefix", workers=1)
+        one_shard_times, one_shard_busy, fleet_times, fleet_busy = [], [], [], []
+        for _ in range(FLEET_REPEATS):
+            start = time.perf_counter()
+            one_shard_result = one_shard_fleet.run(agent, num_sessions)
+            one_shard_times.append(time.perf_counter() - start)
+            one_shard_busy.append(one_shard_result.metrics.shard_cpu_share)
+            start = time.perf_counter()
+            fleet_result = fast_fleet.run(agent, num_sessions)
+            fleet_times.append(time.perf_counter() - start)
+            fleet_busy.append(fleet_result.metrics.shard_cpu_share)
+        one_shard_s = statistics.median(one_shard_times)
+        fleet_s = statistics.median(fleet_times)
     finally:
         nn.set_default_dtype(previous_dtype)
 
+    resolved = [one / sharded for one, sharded, *busy
+                in zip(one_shard_times, fleet_times, one_shard_busy,
+                       fleet_busy)
+                if min(busy) >= CORES_THERE]
+    shard_speedup = (round(statistics.median(resolved), 2)
+                     if fleet_result.metrics.shards > 1
+                     and len(resolved) >= MIN_RESOLVED_PAIRS else None)
+
     bit_identical = all(
         _session_signature(a) == _session_signature(b)
-        for a, b in zip(fleet_result.sessions, matched))
+        == _session_signature(c)
+        for a, b, c in zip(fleet_result.sessions, one_shard_result.sessions,
+                           matched))
     cross_engine_delta = max(
         abs(a.mean_reward - b.mean_reward)
         for a, b in zip(fleet_result.sessions, reference))
@@ -684,13 +741,25 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
             "decisions_per_s": round(decisions / matched_s, 1),
             "delivery_engine": "prefix",
         },
+        "fleet_1shard_mode": {
+            "seconds": round(one_shard_s, 3),
+            "seconds_per_repeat": [round(t, 3) for t in one_shard_times],
+            "shard_cpu_share": [round(b, 2) for b in one_shard_busy],
+            "delivery_engine": "prefix",
+            "metrics": one_shard_result.metrics.to_dict(),
+        },
         "fleet_mode": {
             "seconds": round(fleet_s, 3),
+            "seconds_per_repeat": [round(t, 3) for t in fleet_times],
+            "shard_cpu_share": [round(b, 2) for b in fleet_busy],
             "delivery_engine": "prefix",
             "metrics": metrics.to_dict(),
         },
-        "speedup": round(reference_s / fleet_s, 2),
-        "batched_only_speedup": round(matched_s / fleet_s, 2),
+        "shards": metrics.shards,
+        "speedup": round(reference_s / one_shard_s, 2),
+        "batched_only_speedup": round(matched_s / one_shard_s, 2),
+        "shard_speedup": shard_speedup,
+        "shard_pairs_resolved": len(resolved),
         "bit_identical": bit_identical,
         "max_score_delta": 0.0 if bit_identical else float("inf"),
         "cross_engine_score_delta": cross_engine_delta,
@@ -809,15 +878,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"serial matched: {report['serial_matched_mode']['seconds']:8.3f} s  "
               f"({report['serial_matched_mode']['decisions_per_s']:,.0f} "
               "dec/s; prefix inversion, per-observation forwards)")
+        one_shard = report["fleet_1shard_mode"]
+        print(f"1-shard fleet : {one_shard['seconds']:8.3f} s  "
+              f"({one_shard['metrics']['decisions_per_s']:,.0f} dec/s, mean "
+              f"batch {one_shard['metrics']['mean_batch_size']:.1f}, p99 "
+              f"latency "
+              f"{one_shard['metrics']['p99_decision_latency_s'] * 1e3:.2f} ms)")
         print(f"fleet mode    : {report['fleet_mode']['seconds']:8.3f} s  "
-              f"({metrics['decisions_per_s']:,.0f} dec/s, mean batch "
+              f"({metrics['decisions_per_s']:,.0f} dec/s over "
+              f"{report['shards']} shard(s), mean batch "
               f"{metrics['mean_batch_size']:.1f}, p99 latency "
               f"{metrics['p99_decision_latency_s'] * 1e3:.2f} ms)")
-        print(f"speedup       : {report['speedup']:8.2f} x  (serial ref -> fleet)")
+        print(f"speedup       : {report['speedup']:8.2f} x  "
+              "(serial ref -> 1-shard fleet)")
         print(f"batching only : {report['batched_only_speedup']:8.2f} x  "
-              "(serial matched -> fleet)")
+              "(serial matched -> 1-shard fleet)")
+        print(f"sharding      : {shard_summary(report)}")
         print(f"bit identical : {report['bit_identical']}  "
-              "(fleet vs matched serial, session for session)")
+              "(both fleets vs matched serial, session for session)")
         print(f"score delta   : {report['cross_engine_score_delta']:8.2e} "
               "(max |bisect - prefix| per session)")
         if args.json:

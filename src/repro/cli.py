@@ -26,6 +26,8 @@ The subcommands cover the common workflows:
     heavy traffic (configurable session count, arrival process and trace
     mix), answering each decision tick with one batched policy forward, and
     report decisions/sec, sessions/sec and p50/p95/p99 decision latency.
+    ``--workers N`` splits the sessions over N shard processes (default: one
+    per usable CPU); results are identical for every N.
 
 ``worker``
     Connect to a campaign coordinator (``--backend remote`` on ``run`` /
@@ -115,6 +117,13 @@ def _positive_float(raw: str) -> float:
     value = float(raw)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+    return value
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
     return value
 
 
@@ -306,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="prefix",
                        help="link schedule inversion: analytic prefix lookup "
                             "(fast default) or binary search (reference)")
+    serve.add_argument("--workers", type=_positive_int, default=None,
+                       help="shards (processes) the fleet is split over; "
+                            "default: the CPUs this process may use, capped "
+                            "at --sessions (1 runs in-process)")
     serve.add_argument("--stochastic", action="store_true",
                        help="sample actions from the policy distribution "
                             "instead of greedy argmax")
@@ -628,6 +641,7 @@ def _command_baselines(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     import dataclasses
+    import hashlib
     import json as json_module
 
     from .core.evaluation import instantiate_agent
@@ -652,6 +666,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         arrival_rate_per_s=args.arrival_rate,
         batch_window_s=args.batch_window,
         max_batch=args.max_batch,
+        workers=args.workers,
     )
     fleet = Fleet(video, list(test), config=config)
     logger.info("serving %d sessions over %d %s traces "
@@ -661,6 +676,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     result = fleet.run(agent, args.sessions, greedy=not args.stochastic,
                        sample_seed=args.sample_seed)
     metrics = result.metrics
+    # Every session's action sequence, by value: equal across --workers.
+    actions = [[record.bitrate_index for record in session.records]
+               for session in result.sessions]
     payload = {
         "environment": args.environment,
         "traces": len(test),
@@ -668,6 +686,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         "delivery_engine": args.delivery_engine,
         "greedy": not args.stochastic,
         "mean_qoe_per_chunk": result.mean_reward,
+        "actions_sha256": hashlib.sha256(
+            json_module.dumps(actions).encode("utf-8")).hexdigest(),
         "metrics": metrics.to_dict(),
     }
     if args.json:
@@ -680,8 +700,14 @@ def _command_serve(args: argparse.Namespace) -> int:
             ["mean / max batch", f"{metrics.mean_batch_size:.1f} / "
                                  f"{metrics.max_batch_size}"],
             ["wall time", f"{metrics.wall_s:.3f} s"],
+            ["shards (imbalance, CPU share)",
+             f"{metrics.shards} ({metrics.shard_imbalance:.2f}, "
+             f"{metrics.shard_cpu_share:.2f})"],
             ["decide / emulate time", f"{metrics.decide_s:.3f} s / "
-                                      f"{metrics.emulate_s:.3f} s"],
+                                      f"{metrics.emulate_s:.3f} s"
+                                      + (f" (summed over {metrics.shards} "
+                                         "shards)" if metrics.shards > 1
+                                         else "")],
             ["decisions/s", f"{metrics.decisions_per_s:,.0f}"],
             ["sessions/s", f"{metrics.sessions_per_s:,.1f}"],
             ["decision latency p50", f"{metrics.p50_decision_latency_s * 1e3:.3f} ms"],

@@ -92,7 +92,9 @@ logger = get_logger("results")
 
 #: Version prefix mixed into every key; bump when the record layout changes.
 #: v2: the kernel-compiler toggle and numerics mode joined the context.
-_SCHEMA_VERSION = "v2"
+#: v3: every job trains on one BLAS thread (:mod:`repro.core.blas`); a v2
+#: record written with threaded BLAS may differ in its last bits.
+_SCHEMA_VERSION = "v3"
 
 #: EvaluationConfig fields excluded from the key.  ``lockstep_training`` and
 #: ``batched_evaluation`` are pure execution-engine choices whose outputs are

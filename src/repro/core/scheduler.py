@@ -48,7 +48,7 @@ import numpy as np
 from .. import nn
 from ..abr.networks import fast_inference_enabled, set_fast_inference
 from ..log import get_logger
-from . import faults, telemetry
+from . import blas, faults, telemetry
 from .faults import FaultPlan
 from .parallel import (ParallelConfig, TaskOutcome, parallel_map,
                        run_resilient)
@@ -196,25 +196,32 @@ class _JobTask:
 def _run_job_task(
         task: _JobTask, attempt: int = 0,
 ) -> Tuple[List["TrainingRun"], Optional[List[telemetry.TelemetryEvent]]]:
-    """Worker entry point: train one job's seed batch, in lockstep if possible."""
+    """Worker entry point: train one job's seed batch, in lockstep if possible.
+
+    The job runs on one BLAS thread wherever it lands (in-process, pool
+    worker or remote worker): a BLAS reduction split over threads rounds
+    differently, so pinning every executor keeps serial == workers == remote
+    bit for bit whatever ``OPENBLAS_NUM_THREADS`` says.
+    """
     _apply_engine_state(task.engine)
     if task.fault_plan is not None:
         faults.install_plan(task.fault_plan)
     job = task.job
     faults.perturb_job(_job_fault_key(job), attempt)
-    if not task.capture_telemetry:
-        runs = job.trainer.run_seeds(job.state_design, job.network_design,
-                                     list(job.seeds),
-                                     early_stopping=job.early_stopping)
-        return runs, None
-    with telemetry.capture() as local:
-        with local.span("job.train", {
-                "environment": job.environment,
-                "design": _job_label(job),
-                "seeds": ",".join(str(seed) for seed in job.seeds)}):
+    with blas.single_threaded():
+        if not task.capture_telemetry:
             runs = job.trainer.run_seeds(job.state_design, job.network_design,
                                          list(job.seeds),
                                          early_stopping=job.early_stopping)
+            return runs, None
+        with telemetry.capture() as local:
+            with local.span("job.train", {
+                    "environment": job.environment,
+                    "design": _job_label(job),
+                    "seeds": ",".join(str(seed) for seed in job.seeds)}):
+                runs = job.trainer.run_seeds(
+                    job.state_design, job.network_design, list(job.seeds),
+                    early_stopping=job.early_stopping)
     return runs, local.events
 
 
@@ -230,11 +237,12 @@ def _run_map_task(
         task: _MapTask,
 ) -> Tuple[Any, Optional[List[telemetry.TelemetryEvent]]]:
     _apply_engine_state(task.engine)
-    if not task.capture_telemetry:
-        return task.fn(task.item), None
-    with telemetry.capture() as local:
-        with local.span("job.map"):
-            result = task.fn(task.item)
+    with blas.single_threaded():
+        if not task.capture_telemetry:
+            return task.fn(task.item), None
+        with telemetry.capture() as local:
+            with local.span("job.map"):
+                result = task.fn(task.item)
     return result, local.events
 
 

@@ -519,6 +519,10 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             "decide_s": counters.get("serve.decide_s", 0.0),
             "emulate_s": counters.get("serve.emulate_s", 0.0),
             "wall_s": counters.get("serve.wall_s", 0.0),
+            # decide_s/emulate_s are busy time summed over this many shards,
+            # out of shard_wall_s (each run's wall time x its shards).
+            "shards": int(counters.get("serve.shards", 0.0)),
+            "shard_wall_s": counters.get("serve.shard_wall_s", 0.0),
             "decisions_per_s": _per(counters, "serve.decisions",
                                     "serve.wall_s"),
         },
@@ -617,11 +621,14 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
                      f"(mean batch {batch:.1f}), {rate_text}")
         wall = serving["wall_s"]
         if wall > 0:
+            shards = max(serving["shards"], serving["fleet_runs"])
+            busy = serving["shard_wall_s"] or wall
             lines.append(f"  wall split      : decide {serving['decide_s']:.3f} s "
-                         f"({serving['decide_s'] / wall:.0%}), emulate "
+                         f"({serving['decide_s'] / busy:.0%}), emulate "
                          f"{serving['emulate_s']:.3f} s "
-                         f"({serving['emulate_s'] / wall:.0%}) of "
-                         f"{wall:.3f} s wall")
+                         f"({serving['emulate_s'] / busy:.0%}) of "
+                         f"{wall:.3f} s wall, busy time summed over "
+                         f"{shards} shard{'s' if shards != 1 else ''}")
 
     if summary["designs"]:
         lines.append("slowest designs   :")

@@ -6,13 +6,23 @@ policy and RNG discipline — concurrency, batch windows and tick grouping
 change wall-clock time only, never results.
 """
 
+import functools
+import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import repro
 from repro.abr import BufferBasedPolicy, synthetic_video
 from repro.abr.env import HISTORY_LENGTH
 from repro.abr.state import original_state_function, original_states_gathered
-from repro.core import telemetry
+from repro.core import blas, telemetry
 from repro.core.results import ResultStore
 from repro.emulation import (
     BatchedPolicy,
@@ -173,7 +183,8 @@ class TestFleetBitIdentity:
             assert _signature(got) == _signature(expected)
 
     def test_serving_metrics_populated(self, serve_video, trace_mix, agent):
-        fleet = Fleet(serve_video, trace_mix)
+        # One shard: busy time and wall time are the same process's clock.
+        fleet = Fleet(serve_video, trace_mix, config=FleetConfig(workers=1))
         metrics = fleet.run(agent, num_sessions=10).metrics
         assert metrics.num_sessions == 10
         assert metrics.num_decisions == 10 * serve_video.num_chunks
@@ -187,6 +198,22 @@ class TestFleetBitIdentity:
         assert metrics.emulate_s > 0
         assert metrics.decide_s + metrics.emulate_s <= metrics.wall_s
         assert metrics.to_dict()["emulate_s"] == metrics.emulate_s
+        assert metrics.shards == 1 and metrics.shard_imbalance == 1.0
+
+    def test_sharded_serving_metrics_populated(self, serve_video, trace_mix,
+                                               agent):
+        fleet = Fleet(serve_video, trace_mix, config=FleetConfig(workers=2))
+        metrics = fleet.run(agent, num_sessions=10).metrics
+        assert metrics.shards == 2
+        assert metrics.num_decisions == 10 * serve_video.num_chunks
+        assert metrics.num_ticks <= metrics.num_decisions
+        assert metrics.emulate_s > 0
+        # Busy time is summed over the shards' processes.
+        assert (metrics.decide_s + metrics.emulate_s
+                <= metrics.wall_s * metrics.shards)
+        assert metrics.shard_imbalance >= 1.0
+        assert 0.0 < metrics.shard_cpu_share <= 1.01
+        assert metrics.to_dict()["shards"] == 2
 
     def test_report_splits_serve_wall_time(self, serve_video, trace_mix,
                                            agent):
@@ -201,6 +228,229 @@ class TestFleetBitIdentity:
         assert serving["decide_s"] == metrics.decide_s
         report = telemetry.render_report(sink.events)
         assert "wall split" in report and "emulate" in report
+
+
+def _value_digest(sessions):
+    """sha256 over every record's values (floats as ``float.hex``)."""
+    digest = hashlib.sha256()
+    for session in sessions:
+        digest.update(session.trace_name.encode())
+        for r in session.records:
+            digest.update(repr((r.chunk_index, r.bitrate_index,
+                                float(r.reward).hex(),
+                                float(r.download_time_s).hex(),
+                                float(r.rebuffer_s).hex(),
+                                float(r.buffer_s).hex())).encode())
+    return digest.hexdigest()
+
+
+class _RaiseInChild:
+    """A policy that fails only in a forked shard process."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def __call__(self, observation):
+        if os.getpid() != self.parent:
+            raise RuntimeError("policy failed inside a shard")
+        return 0
+
+
+def _single_blas_thread_policy(observation):
+    """A policy that fails unless its shard runs BLAS on one thread."""
+    if blas._get_num_threads() not in (None, 1):
+        raise AssertionError("shard BLAS is not single-threaded")
+    return 0
+
+
+def _auto_shards_in_child(num_sessions):
+    fleet = Fleet(synthetic_video("standard", num_chunks=2, seed=1),
+                  [generate_fcc_trace(duration_s=60.0, seed=0)])
+    return (fleet._resolve_shards(num_sessions),
+            fleet.run(BufferBasedPolicy(), num_sessions).metrics.shards)
+
+
+class TestShardedFleet:
+    """``FleetConfig.workers`` splits a run over processes, never results."""
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_shards_match_serial_reference(self, serve_video, trace_mix,
+                                           agent, greedy):
+        reference = Fleet(serve_video, trace_mix).serial_reference(
+            agent, num_sessions=7, greedy=greedy, sample_seed=3)
+        expected = _value_digest(reference)
+        for workers in (1, 2, 3):
+            fleet = Fleet(serve_video, trace_mix,
+                          config=FleetConfig(workers=workers))
+            result = fleet.run(agent, num_sessions=7, greedy=greedy,
+                               sample_seed=3)
+            assert result.metrics.shards == workers
+            assert [s.trace_name for s in result.sessions] == \
+                [s.trace_name for s in reference]
+            assert _value_digest(result.sessions) == expected, workers
+
+    def test_more_workers_than_sessions(self, serve_video, trace_mix, agent):
+        fleet = Fleet(serve_video, trace_mix, config=FleetConfig(workers=9))
+        result = fleet.run(agent, num_sessions=4)
+        assert result.metrics.shards == 4
+        assert _value_digest(result.sessions) == _value_digest(
+            fleet.serial_reference(agent, num_sessions=4))
+
+    def test_telemetry_summary_matches_one_shard(self, serve_video,
+                                                 trace_mix, agent):
+        def serving_summary(workers, max_batch):
+            sink = telemetry.Telemetry()
+            previous = telemetry.set_telemetry(sink)
+            try:
+                metrics = Fleet(serve_video, trace_mix, config=FleetConfig(
+                    workers=workers, max_batch=max_batch)).run(agent, 7).metrics
+            finally:
+                telemetry.set_telemetry(previous)
+            return telemetry.summarize(sink.events)["serving"], metrics
+
+        # One decision per tick: shards cannot change the tick count.
+        one, _ = serving_summary(1, max_batch=1)
+        three, metrics = serving_summary(3, max_batch=1)
+        keys = ("fleet_runs", "sessions", "decisions", "ticks")
+        assert {k: three[k] for k in keys} == {k: one[k] for k in keys}
+        assert three["fleet_runs"] == 1 and three["sessions"] == 7
+        assert three["shards"] == 3 and one["shards"] == 1
+        assert three["decide_s"] == metrics.decide_s
+        assert three["emulate_s"] == metrics.emulate_s
+        # Batched ticks: the merged counters add up to the run's metrics.
+        summary, metrics = serving_summary(2, max_batch=4096)
+        assert summary["ticks"] == metrics.num_ticks
+        assert summary["decisions"] == metrics.num_decisions
+
+    def test_report_names_the_shard_count(self, serve_video, trace_mix,
+                                          agent):
+        sink = telemetry.Telemetry()
+        previous = telemetry.set_telemetry(sink)
+        try:
+            Fleet(serve_video, trace_mix,
+                  config=FleetConfig(workers=2)).run(agent, 6)
+        finally:
+            telemetry.set_telemetry(previous)
+        report = telemetry.render_report(sink.events)
+        assert "summed over 2 shards" in report
+
+    def test_shard_exception_propagates(self, serve_video, trace_mix):
+        fleet = Fleet(serve_video, trace_mix, config=FleetConfig(workers=2))
+        with pytest.raises(RuntimeError, match="inside a shard"):
+            fleet.run(_RaiseInChild(), num_sessions=4)
+        from repro.emulation import fleet as fleet_module
+        assert not fleet_module._SHARD_RUN
+
+    def test_blas_single_thread_in_shards_and_restored(self, serve_video,
+                                                       trace_mix):
+        if blas._get_num_threads() is None:
+            pytest.skip("no OpenBLAS thread-count symbol")
+        previous = blas.set_num_threads(2)
+        try:
+            fleet = Fleet(serve_video, trace_mix,
+                          config=FleetConfig(workers=2))
+            fleet.run(_single_blas_thread_policy, num_sessions=4)
+            assert blas._get_num_threads() == 2
+        finally:
+            blas.set_num_threads(previous)
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError):
+            FleetConfig(workers=0)
+
+    def test_auto_is_one_shard_inside_a_multiprocessing_child(self):
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(_auto_shards_in_child, 4).result() == (1, 1)
+
+    def test_one_cpu_starts_no_child(self, serve_video, trace_mix, agent,
+                                     monkeypatch):
+        from repro.emulation import fleet as fleet_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-shard run started a process pool")
+
+        monkeypatch.setattr(fleet_module, "ProcessPoolExecutor", no_pool)
+        assert Fleet(serve_video, trace_mix, config=FleetConfig(
+            workers=1)).run(agent, 5).metrics.shards == 1
+        monkeypatch.setattr(fleet_module.os, "sched_getaffinity",
+                            lambda pid: {0})
+        assert Fleet(serve_video, trace_mix).run(agent, 5).metrics.shards == 1
+
+    def test_no_fork_falls_back_to_one_shard(self, serve_video, trace_mix,
+                                             agent, monkeypatch):
+        from repro.emulation import fleet as fleet_module
+
+        monkeypatch.setattr(fleet_module.multiprocessing,
+                            "get_all_start_methods", lambda: ["spawn"])
+        sink = telemetry.Telemetry()
+        previous = telemetry.set_telemetry(sink)
+        try:
+            result = Fleet(serve_video, trace_mix, config=FleetConfig(
+                workers=2)).run(agent, 5)
+        finally:
+            telemetry.set_telemetry(previous)
+        assert result.metrics.shards == 1
+        counters = telemetry.summarize(sink.events)["counters"]
+        assert counters["serve.shard_fallback"] == 1
+
+    def test_wrapped_emulation_stack_stays_in_one_shard(
+            self, serve_video, trace_mix, agent, monkeypatch):
+        steps = []
+        step = DashPlayer.step
+
+        @functools.wraps(step)
+        def counted(self, action):
+            steps.append(action)
+            return step(self, action)
+
+        monkeypatch.setattr(DashPlayer, "step", counted)
+        result = Fleet(serve_video, trace_mix,
+                       config=FleetConfig(workers=2)).run(agent, 4)
+        assert result.metrics.shards == 1
+        assert len(steps) == result.metrics.num_decisions
+
+    def test_no_fork_with_threads_warning(self):
+        """No thread but the caller's is alive when a shard is forked.
+
+        Python 3.12 warns on ``fork()`` when the OS thread count the parent
+        reads just after the fork (``/proc/self/stat`` on Linux) exceeds
+        one.  OpenBLAS's thread pool is alive until its own fork handler
+        stops it, so this counts threads at the same point, in a fresh
+        process whose BLAS is left unpinned and has run a threaded GEMM.
+        """
+        if not os.path.exists("/proc/self/stat"):
+            pytest.skip("no /proc thread count")
+        script = textwrap.dedent("""
+            import os, warnings
+            import numpy as np
+            from repro.abr import BufferBasedPolicy, synthetic_video
+            from repro.emulation import Fleet, FleetConfig
+            from repro.traces import generate_fcc_trace
+
+            def threads():
+                with open("/proc/self/stat") as stat:
+                    return int(stat.read().rsplit(")", 1)[1].split()[17])
+
+            counts = []
+            os.register_at_fork(after_in_parent=lambda: counts.append(threads()))
+            warnings.simplefilter("error", DeprecationWarning)
+            matrix = np.ones((512, 512))
+            matrix @ matrix
+            fleet = Fleet(synthetic_video("standard", num_chunks=2, seed=1),
+                          [generate_fcc_trace(duration_s=60.0, seed=0)],
+                          config=FleetConfig(workers=3))
+            assert fleet.run(BufferBasedPolicy(), 3).metrics.shards == 3
+            print(counts)
+        """)
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))] + sys.path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[1, 1]"
 
 
 class TestBatchedPolicy:
