@@ -48,7 +48,6 @@ import numpy as np
 
 from repro import nn
 from repro.abr.env import SimulatorConfig
-from repro.abr.networks import set_fast_inference
 from repro.analysis import ExperimentScale
 from repro.analysis.experiments import build_environment
 from repro.core.design import CandidatePool, DesignKind
@@ -218,7 +217,7 @@ def seed_reference_mode():
 
     saved = (nn_layers.Conv1D.forward, nn_optim.RMSProp.step,
              rl_policy.sample_action, rl_agent.sample_action,
-             set_fast_inference(False), nn.set_default_dtype("float64"))
+             nn.set_compilation(False), nn.set_default_dtype("float64"))
     nn_layers.Conv1D.forward = _seed_conv1d_forward
     nn_optim.RMSProp.step = _seed_rmsprop_step
     rl_policy.sample_action = _seed_sample_action
@@ -230,7 +229,7 @@ def seed_reference_mode():
         nn_optim.RMSProp.step = saved[1]
         rl_policy.sample_action = saved[2]
         rl_agent.sample_action = saved[3]
-        set_fast_inference(saved[4])
+        nn.set_compilation(saved[4])
         nn.set_default_dtype(saved[5])
 
 

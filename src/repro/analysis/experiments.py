@@ -432,9 +432,9 @@ def _run_emulation_comparison(environment: str, llm_profile: str,
 def _corpus_sample(args) -> DesignSampleFeatures:
     """Worker: train one corpus design and extract its features.
 
-    The scheduler's ``map_items`` propagates the tensor dtype and
-    fast-inference toggle into worker processes, so the sample only carries
-    workload inputs.
+    The scheduler's ``map_items`` propagates the tensor dtype and the
+    kernel-compiler toggles into worker processes, so the sample only
+    carries workload inputs.
     """
     setup, config, design, seed, eval_seed = args
     agent = instantiate_agent(design, None, setup.video, setup.train_traces,

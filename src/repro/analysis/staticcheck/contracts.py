@@ -60,7 +60,6 @@ _TOGGLE_GETTERS: Dict[str, str] = {
     "_DEFAULT_DTYPE": "get_default_dtype",
     "_COMPILE_ENABLED": "compilation_enabled",
     "_NUMERICS": "get_numerics",
-    "_FAST_INFERENCE": "fast_inference_enabled",
 }
 
 #: Engine toggles exempt from the fingerprint, each with the reason the

@@ -12,12 +12,9 @@ Verdicts (:class:`LoweringPrediction`):
 
 ``compiled``
     A design-space :class:`~repro.abr.networks.GenericActorCritic` whose
-    encoder and activation are both inside the fused-kernel vocabulary —
+    encoder and activation are both inside the fused-kernel vocabulary, or a
+    :class:`~repro.abr.networks.PensieveNetwork` whose activation is —
     :func:`~repro.nn.compile.plan_for` will return a plan.
-``hand_fused``
-    A :class:`~repro.abr.networks.PensieveNetwork`; ``plan_for`` returns
-    ``None`` for it, but it is served by the dedicated hand-fused Pensieve
-    engine, not by the slow graph path.
 ``graph_fallback``
     Provably not lowerable (e.g. an activation like ``"softmax"`` that the
     layer registry accepts but the fused kernels do not implement, or a
@@ -29,7 +26,8 @@ Verdicts (:class:`LoweringPrediction`):
 The prediction deliberately mirrors ``plan_for``'s published contract
 rather than re-implementing its internals: encoders come from
 :data:`LOWERABLE_ENCODERS` (the ``GenericActorCritic`` constructor's
-vocabulary, all of which lower) and activations from
+vocabulary, all of which lower; ``PensieveNetwork`` has no encoder argument,
+its branch bank always lowers) and activations from
 :func:`repro.nn.compile.lowerable_activation_names`.  Flat state shapes
 coerce any encoder to ``flatten`` at construction time; since ``flatten``
 is itself lowerable, that coercion never changes a verdict.
@@ -50,7 +48,8 @@ __all__ = ["LOWERABLE_ENCODERS", "LoweringPrediction", "predict_lowerability"]
 #: them has a fused lowering in :mod:`repro.nn.compile`.
 LOWERABLE_ENCODERS = ("flatten", "conv", "rnn", "gru", "lstm")
 
-#: Default constructor arguments (mirrors ``GenericActorCritic.__init__``).
+#: Default constructor arguments (mirrors ``GenericActorCritic.__init__`` and
+#: ``PensieveNetwork.__init__``).
 _DEFAULT_ACTIVATION = "relu"
 _DEFAULT_ENCODER = "flatten"
 
@@ -59,7 +58,7 @@ _DEFAULT_ENCODER = "flatten"
 class LoweringPrediction:
     """Static verdict on how a network design will execute."""
 
-    verdict: str  # "compiled" | "hand_fused" | "graph_fallback" | "unknown"
+    verdict: str  # "compiled" | "graph_fallback" | "unknown"
     reason: str
     activation: Optional[str] = None
     encoder: Optional[str] = None
@@ -67,7 +66,7 @@ class LoweringPrediction:
     @property
     def fast(self) -> bool:
         """Whether the design avoids the slow graph path."""
-        return self.verdict in ("compiled", "hand_fused")
+        return self.verdict == "compiled"
 
     def to_dict(self) -> Dict[str, object]:
         record: Dict[str, object] = {"verdict": self.verdict,
@@ -101,19 +100,16 @@ def _classify_call(call: ast.Call) -> LoweringPrediction:
         return LoweringPrediction(
             "unknown", "returns something other than an nn_library "
             "construction; cannot classify statically")
-    if func.attr == "PensieveNetwork":
-        return LoweringPrediction(
-            "hand_fused",
-            "PensieveNetwork is served by the dedicated hand-fused engine "
-            "(plan_for returns None for it by design)")
-    if func.attr != "GenericActorCritic":
+    if func.attr not in ("GenericActorCritic", "PensieveNetwork"):
         return LoweringPrediction(
             "graph_fallback",
             f"nn_library.{func.attr} is not a lowerable design-space "
             "architecture")
+    pensieve = func.attr == "PensieveNetwork"
 
     activation = _keyword_literal(call, "activation")
-    encoder = _keyword_literal(call, "encoder")
+    # PensieveNetwork has no encoder argument: its branch bank always lowers.
+    encoder = None if pensieve else _keyword_literal(call, "encoder")
     if activation is _ABSENT:
         activation = _DEFAULT_ACTIVATION
     if encoder is _ABSENT:
@@ -130,7 +126,14 @@ def _classify_call(call: ast.Call) -> LoweringPrediction:
             "graph_fallback",
             f"activation {activation!r} has no fused kernel; plan_for will "
             "fall back to the autograd graph path",
-            activation=str(activation), encoder=str(encoder))
+            activation=str(activation),
+            encoder=None if encoder is None else str(encoder))
+    if pensieve:
+        return LoweringPrediction(
+            "compiled",
+            f"PensieveNetwork with activation {activation!r} lowers onto the "
+            "fused kernels (folded branch bank, dense towers)",
+            activation=str(activation))
     if not isinstance(encoder, str) or encoder not in LOWERABLE_ENCODERS:
         return LoweringPrediction(
             "graph_fallback",

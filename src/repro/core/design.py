@@ -66,7 +66,7 @@ class Design:
     #: message, line), as dicts so the design stays trivially serializable.
     audit_findings: List[Dict[str, object]] = field(default_factory=list)
     #: Static lowerability verdict for network designs ("compiled",
-    #: "hand_fused", "graph_fallback" or "unknown"; None before the audit).
+    #: "graph_fallback" or "unknown"; None before the audit).
     lowerability: Optional[str] = None
     #: Episode rewards observed during (possibly truncated) training.
     reward_history: List[float] = field(default_factory=list)

@@ -14,7 +14,7 @@ Key schema (one JSON file per record)::
     key = sha256(context fingerprint | design fingerprint | seed)
 
 * **context fingerprint** — the evaluation context: environment label,
-  tensor dtype, the fast-inference toggle, the
+  tensor dtype, the kernel compiler toggle and its numerics mode, the
   :class:`~repro.core.evaluation.EvaluationConfig` (with its nested A2C and
   simulator configs), the video (bitrate ladder, chunk sizes, chunk
   duration) and the exact train/test trace arrays, and the QoE metric's
@@ -72,7 +72,6 @@ from typing import Any, Dict, Iterable, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .. import nn
-from ..abr.networks import fast_inference_enabled
 from ..log import get_logger
 from . import faults, telemetry
 
@@ -94,7 +93,10 @@ logger = get_logger("results")
 #: v2: the kernel-compiler toggle and numerics mode joined the context.
 #: v3: every job trains on one BLAS thread (:mod:`repro.core.blas`); a v2
 #: record written with threaded BLAS may differ in its last bits.
-_SCHEMA_VERSION = "v3"
+#: v4: the fast-inference toggle left the context, and Pensieve designs with
+#: non-ReLU activations now train on the compiled kernels (a v3 record of
+#: one came from the autograd graph and differs by float round-off).
+_SCHEMA_VERSION = "v4"
 
 #: EvaluationConfig fields excluded from the key.  ``lockstep_training`` and
 #: ``batched_evaluation`` are pure execution-engine choices whose outputs are
@@ -161,12 +163,10 @@ def context_fingerprint(trainer: "DesignTrainer", environment: str = "") -> str:
         _SCHEMA_VERSION.encode("utf-8"),
         environment.encode("utf-8"),
         str(nn.get_default_dtype()).encode("utf-8"),
-        # The folded-inference path agrees with the graph forward only to
-        # float round-off (~1e-12), not bit-identity, so it is key material.
-        f"fast_inference={fast_inference_enabled()}".encode("utf-8"),
-        # Likewise the kernel compiler (fused-vs-graph loss gradients agree
-        # to round-off, not bitwise) and its numerics mode ("fast" re-blocks
-        # gradient contractions and is only statistically equivalent).
+        # The kernel compiler is key material (fused-vs-graph loss gradients
+        # agree to round-off, not bitwise), and so is its numerics mode
+        # ("fast" re-blocks gradient contractions and is only statistically
+        # equivalent).
         f"compile={nn.compilation_enabled()}".encode("utf-8"),
         f"numerics={nn.get_numerics()}".encode("utf-8"),
         _config_tokens(trainer.config),

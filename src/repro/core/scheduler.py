@@ -46,7 +46,6 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .. import nn
-from ..abr.networks import fast_inference_enabled, set_fast_inference
 from ..log import get_logger
 from . import blas, faults, telemetry
 from .faults import FaultPlan
@@ -156,19 +155,18 @@ def _job_fault_key(job: EvaluationJob) -> str:
 
 # --------------------------------------------------------------------------- #
 # Worker payloads.  Spawned workers start from a fresh interpreter, so the
-# process-global engine toggles — tensor dtype, fast inference, the kernel
-# compiler and its numerics mode — ride along with every task and are
-# re-applied before any computation.
+# process-global engine toggles — tensor dtype, the kernel compiler and its
+# numerics mode — ride along with every task and are re-applied before any
+# computation.
 # --------------------------------------------------------------------------- #
-def _engine_state() -> Tuple[str, bool, bool, str]:
-    return (str(nn.get_default_dtype()), fast_inference_enabled(),
-            nn.compilation_enabled(), nn.get_numerics())
+def _engine_state() -> Tuple[str, bool, str]:
+    return (str(nn.get_default_dtype()), nn.compilation_enabled(),
+            nn.get_numerics())
 
 
-def _apply_engine_state(state: Tuple[str, bool, bool, str]) -> None:
-    dtype, fast, compiled, numerics = state
+def _apply_engine_state(state: Tuple[str, bool, str]) -> None:
+    dtype, compiled, numerics = state
     nn.set_default_dtype(dtype)
-    set_fast_inference(fast)
     nn.set_compilation(compiled)
     nn.set_numerics(numerics)
 
@@ -176,7 +174,7 @@ def _apply_engine_state(state: Tuple[str, bool, bool, str]) -> None:
 @dataclass(frozen=True)
 class _JobTask:
     job: EvaluationJob
-    engine: Tuple[str, bool, bool, str]
+    engine: Tuple[str, bool, str]
     #: Whether the parent has telemetry enabled.  Worker processes start
     #: from a fresh interpreter with telemetry off; when set, the task runs
     #: inside :func:`telemetry.capture` and ships its events back with the
@@ -229,7 +227,7 @@ def _run_job_task(
 class _MapTask:
     fn: Callable[[Any], Any]
     item: Any
-    engine: Tuple[str, bool, bool, str]
+    engine: Tuple[str, bool, str]
     capture_telemetry: bool = False
 
 
@@ -348,8 +346,8 @@ class CampaignScheduler:
 
     # ------------------------------------------------------------------ #
     def _context(self, job: EvaluationJob) -> str:
-        variant = (str(nn.get_default_dtype()), fast_inference_enabled(),
-                   nn.compilation_enabled(), nn.get_numerics(),
+        variant = (str(nn.get_default_dtype()), nn.compilation_enabled(),
+                   nn.get_numerics(),
                    job.environment)
         per_trainer = self._contexts.setdefault(job.trainer, {})
         fingerprint = per_trainer.get(variant)
@@ -449,7 +447,7 @@ class CampaignScheduler:
         a campaign pays for each distinct design once.
         """
         key = (design_fingerprint(job.state_design, job.network_design),
-               nn.compilation_enabled(), fast_inference_enabled())
+               nn.compilation_enabled())
         cached = self._lockstep_probe.get(key)
         if cached is None:
             cached = bool(job.trainer.supports_lockstep(job.state_design,

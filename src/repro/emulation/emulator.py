@@ -16,7 +16,6 @@ import numpy as np
 
 from .. import nn
 from ..abr.env import Observation, SessionResult
-from ..abr.networks import fast_inference_enabled
 from ..abr.qoe import LinearQoE, QoEMetric
 from ..abr.state import original_state_function
 from ..abr.video import Video
@@ -39,7 +38,9 @@ Policy = Callable[[Observation], int]
 
 #: Schema tag for emulation payload records; bump when the payload layout or
 #: any key-material convention below changes.
-_EMULATION_SCHEMA = "emu-v1"
+#: emu-v2: the fast-inference toggle left the key material; non-ReLU
+#: Pensieve policies now infer through the compiled kernels.
+_EMULATION_SCHEMA = "emu-v2"
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ def emulation_context_fingerprint(video: Video, qoe: Optional[QoEMetric] = None,
 
     The emulation analogue of :func:`repro.core.results.context_fingerprint`:
     covers the environment label, the engine toggles that are only
-    round-off-equivalent (dtype, folded inference, kernel compilation and its
-    numerics mode), the full :class:`EmulationConfig` — including
-    ``link.delivery_engine``, whose prefix/bisect inversions agree to ~1e-14
-    but **not** bitwise — the video and the QoE metric.
+    round-off-equivalent (dtype, kernel compilation and its numerics mode),
+    the full :class:`EmulationConfig` — including ``link.delivery_engine``,
+    whose prefix/bisect inversions agree to ~1e-14 but **not** bitwise —
+    the video and the QoE metric.
 
     Deliberately excluded: every :class:`~repro.emulation.fleet.FleetConfig`
     field (arrival process/rate/seed, batch window, max batch).  Those are
@@ -110,7 +111,6 @@ def emulation_context_fingerprint(video: Video, qoe: Optional[QoEMetric] = None,
         _EMULATION_SCHEMA.encode("utf-8"),
         environment.encode("utf-8"),
         str(nn.get_default_dtype()).encode("utf-8"),
-        f"fast_inference={fast_inference_enabled()}".encode("utf-8"),
         f"compile={nn.compilation_enabled()}".encode("utf-8"),
         f"numerics={nn.get_numerics()}".encode("utf-8"),
         _config_tokens(config),

@@ -1,13 +1,15 @@
-"""Fused-kernel compiler: lower design-space networks onto the fast engines.
+"""Fused-kernel compiler: the one fast engine for every actor-critic network.
 
-The repository's fast training engines — the analytic fused forward/backward
-used by :class:`~repro.rl.a2c.A2CTrainer` and the stacked multi-seed lockstep
-engine behind :class:`~repro.rl.a2c.MultiSeedA2CTrainer` — were originally
-hand-written for the fixed Pensieve architecture.  This module generalizes
-them to *any* network assembled from the design-space vocabulary (``Dense``,
-``Conv1D``, ``Flatten``, ``LayerNorm``, ``Dropout``, ``Recurrent``
-rnn/gru/lstm cells, ``Sequential`` containers), which is what the LLM design
-generator emits.
+The repository's fast engines — the inference path behind
+:meth:`~repro.abr.networks.ActorCriticNetwork.policy_probs`, the analytic
+fused forward/backward used by :class:`~repro.rl.a2c.A2CTrainer` and the
+stacked multi-seed lockstep engine behind
+:class:`~repro.rl.a2c.MultiSeedA2CTrainer` — all run on the kernels planned
+here, for the original Pensieve network (its per-row Conv1D/Dense branch
+bank folded into one GEMM, paper Figure 2) and for *any* network assembled
+from the design-space vocabulary (``Dense``, ``Conv1D``, ``Flatten``,
+``LayerNorm``, ``Dropout``, ``Recurrent`` rnn/gru/lstm cells, ``Sequential``
+containers), which is what the LLM design generator emits.
 
 The compiler is a *kernel planner*: it walks a network's module tree and
 emits a :class:`CompiledPlan` of primitive ops, each of which implements
@@ -24,14 +26,19 @@ matmuls on the same operands, the same elementwise formulas, the same
 reduction and accumulation order — so compiled gradients match
 ``loss.backward()`` to float round-off (the equivalence suite asserts
 <= 1e-9 in float32 and float64), and compiled rollout decisions are identical
-to the graph path's.  Architectures the planner cannot lower (custom forward
-implementations, callable activations, stochastic dropout under lockstep)
-degrade to the autograd graph path with a logged reason — never an error.
+to the graph path's.  The one exception is Pensieve's folded branch bank:
+one GEMM over the flattened state groups the per-branch products
+differently, so it agrees with the graph to float round-off (<= 1e-9 in
+float64, float32's own round-off scale in float32).  Architectures the
+planner cannot lower (custom forward implementations, callable activations,
+stochastic dropout under lockstep) degrade to the autograd graph path with a
+logged reason — never an error.
 
 Two module-level switches control the compiler:
 
 * :func:`set_compilation` / ``--no-compile`` — disable lowering entirely;
-  every generated architecture then trains through the reference graph path.
+  every architecture, Pensieve included, then infers and trains through the
+  reference graph path.
 * :func:`set_numerics` — ``"exact"`` (default) keeps the autograd-mirroring
   arithmetic; ``"fast"`` rewrites the conv-gradient contractions as single
   re-blocked GEMMs (batch and position axes folded into one contraction),
@@ -244,8 +251,8 @@ def _activation_kernel(name) -> Tuple[Callable, Callable]:
 
 # --------------------------------------------------------------------------- #
 # Gradient sink: routes computed gradients into Parameter.grad through
-# persistent, preallocated buffers (the ``out=`` discipline of the Pensieve
-# hand kernels).  Falls back to allocate-and-cast — mirroring
+# persistent, preallocated buffers (``out=`` GEMMs and reductions).  Falls
+# back to allocate-and-cast — mirroring
 # ``Parameter._accumulate`` — when gradients must live in a different dtype
 # than the weights.
 # --------------------------------------------------------------------------- #
@@ -539,6 +546,211 @@ class _Conv1DOp:
         for tap in range(kernel):
             full[:, :, starts + tap] += grids[..., tap].transpose(0, 2, 1)
         return full
+
+
+class _BranchBankOp:
+    """Per-row Conv1D/Dense branches (paper Figure 2), folded into one GEMM.
+
+    :class:`~repro.abr.networks.PensieveNetwork` runs a ``Conv1D(1, F, K)``
+    over each temporal row and a ``Dense(1, H)`` over the last sample of
+    each scalar row, then concatenates the feature maps.  With homogeneous
+    branches sharing one activation, the whole pre-activation feature vector
+    is one linear map of the flattened state: ``act(flat @ A_T + bias)``.
+    The fold ``(A_T, bias)`` is cached per weight version (serial) or per
+    stacked weight array and version (stacked), so it is rebuilt once per
+    optimizer step, not once per decision.
+
+    The bank is always the network's input op, so the backward writes the
+    branch gradients and never returns an input gradient.
+    """
+
+    def __init__(self, network) -> None:
+        convs = list(network.conv_branches)
+        scalars = list(network.scalar_branches)
+        if not convs and not scalars:
+            raise CompileError("branch bank has no branches")
+        if not all(b.in_channels == 1 and b.bias is not None
+                   and b.kernel_size == convs[0].kernel_size
+                   and b.stride == convs[0].stride
+                   and b.out_channels == convs[0].out_channels
+                   for b in convs):
+            raise CompileError("conv branches are not homogeneous "
+                               "Conv1D(1, F, K) layers with bias")
+        if not all(b.in_features == 1 and b.bias is not None
+                   and b.out_features == scalars[0].out_features
+                   for b in scalars):
+            raise CompileError("scalar branches are not homogeneous "
+                               "Dense(1, H) layers with bias")
+        if len({b.activation_name for b in convs + scalars}) != 1:
+            raise CompileError("branches do not share one activation")
+        self.activation_name = (convs + scalars)[0].activation_name
+        self.act_fwd, self.act_bwd = _activation_kernel(self.activation_name)
+        self.convs = convs
+        self.scalars = scalars
+        self.temporal_rows = list(network.temporal_rows)
+        self.scalar_rows = list(network.scalar_rows)
+        self.flat_state = len(network.state_shape) == 1
+        self.rows = network.state_shape[0]
+        self.history = 1 if self.flat_state else network.state_shape[1]
+        self.kernel = self.stride = self.filters = self.positions = 0
+        self.starts: range = range(0)
+        if convs:
+            self.kernel = convs[0].kernel_size
+            self.stride = convs[0].stride
+            self.filters = convs[0].out_channels
+            self.starts = range(0, self.history - self.kernel + 1, self.stride)
+            self.positions = len(self.starts)
+            if self.flat_state or not self.positions:
+                raise CompileError("conv branches need a (rows, history) "
+                                   "state at least one kernel long")
+        self.conv_span = len(convs) * self.filters * self.positions
+        self.width = self.conv_span + (
+            len(scalars) * scalars[0].out_features if scalars else 0)
+        self._params = [p for branch in convs + scalars
+                        for p in (branch.weight, branch.bias)]
+        # (first weight array, version, A_T, bias), serial and stacked.
+        # Arrays only, so the op stays picklable.
+        self._fold = None
+        self._stacked_fold = None
+
+    def parameters(self) -> List[Parameter]:
+        return list(self._params)
+
+    def _version(self) -> int:
+        return sum(p.version for p in self._params)
+
+    def _folded(self, resolve, stacked):
+        """``(A_T, bias)``: ``(D, M)``/``(M,)``, with a leading seed axis
+        when stacked.
+
+        The zero pattern of ``A_T`` is fixed by the architecture, so a
+        refresh after a weight change rewrites only the branch blocks of
+        the cached arrays in place.  Nothing holds a fold across calls
+        (forward caches keep the input, not the fold), so the rewrite is
+        safe.
+        """
+        weight0 = _resolve(resolve, self._params[0])
+        version = self._version()
+        cached = self._stacked_fold if stacked else self._fold
+        if cached is not None and cached[0] is weight0:
+            if cached[1] == version:
+                return cached[2], cached[3]
+            folded, bias = cached[2], cached[3]
+        else:
+            lead = weight0.shape[:1] if stacked else ()
+            folded = np.zeros(lead + (self.rows * self.history, self.width),
+                              dtype=weight0.dtype)
+            bias = np.empty(lead + (self.width,), dtype=weight0.dtype)
+        history = self.history
+        filters, positions, kernel = self.filters, self.positions, self.kernel
+        span = filters * positions
+        offset = 0
+        for branch, row in zip(self.convs, self.temporal_rows):
+            weight_t = _resolve(resolve, branch.weight).reshape(
+                folded.shape[:-2] + (filters, kernel)).swapaxes(-1, -2)
+            for pos, start in enumerate(self.starts):
+                column = row * history + start
+                folded[..., column:column + kernel,
+                       offset + pos:offset + span:positions] = weight_t
+            bias[..., offset:offset + span] = np.repeat(
+                _resolve(resolve, branch.bias), positions, axis=-1)
+            offset += span
+        for branch, row in zip(self.scalars, self.scalar_rows):
+            width = branch.out_features
+            folded[..., row * history + history - 1, offset:offset + width] = \
+                _resolve(resolve, branch.weight)[..., 0, :]
+            bias[..., offset:offset + width] = _resolve(resolve, branch.bias)
+            offset += width
+        fold = (weight0, version, folded, bias)
+        if stacked:
+            self._stacked_fold = fold
+        else:
+            self._fold = fold
+        return folded, bias
+
+    def _pre(self, x, resolve, stacked):
+        folded, bias = self._folded(resolve, stacked)
+        lead = 2 if stacked else 1
+        pre = np.matmul(x.reshape(x.shape[:lead] + (-1,)), folded)
+        pre += bias[:, None, :] if stacked else bias
+        return pre
+
+    def infer(self, x, resolve, stacked):
+        out, _ = self.act_fwd(self._pre(x, resolve, stacked))
+        return out
+
+    def forward(self, x, resolve, stacked, caches):
+        out, aux = self.act_fwd(self._pre(x, resolve, stacked))
+        caches.append((x, aux))
+        return out
+
+    def backward(self, dy, resolve, stacked, cache, sink, need_dx):
+        x, aux = cache
+        d_pre = self.act_bwd(dy, aux)
+        lead = x.shape[:2] if stacked else x.shape[:1]
+        if self.convs:
+            branches, filters, kernel = (len(self.convs), self.filters,
+                                         self.kernel)
+            # (…, R, P, K) windows of the temporal rows.
+            rows = x[..., self.temporal_rows, :]
+            windows = np.lib.stride_tricks.sliding_window_view(
+                rows, kernel, axis=-1)[..., ::self.stride, :]
+            d_conv = d_pre[..., :self.conv_span].reshape(
+                lead + (branches, filters, self.positions))
+            if stacked:
+                seeds = lead[0]
+                if get_numerics() == "fast":
+                    # Re-blocked GEMM contraction: (batch, positions) folded
+                    # into one axis — same sum, different summation order.
+                    d_weights = np.matmul(
+                        d_conv.transpose(0, 2, 3, 1, 4).reshape(
+                            seeds, branches, filters, -1),
+                        windows.transpose(0, 2, 1, 3, 4).reshape(
+                            seeds, branches, -1, kernel))
+                else:
+                    d_weights = np.einsum("sbrfp,sbrpk->srfk", d_conv, windows)
+                d_biases = d_conv.sum(axis=(1, 4))
+                for index, branch in enumerate(self.convs):
+                    sink.add(branch.weight, d_weights[:, index],
+                             out_shape=(seeds, filters, kernel))
+                    sink.add(branch.bias, d_biases[:, index])
+            else:
+                if get_numerics() == "fast":
+                    d_weights = np.matmul(
+                        d_conv.transpose(1, 2, 0, 3).reshape(
+                            branches, filters, -1),
+                        windows.transpose(1, 0, 2, 3).reshape(
+                            branches, -1, kernel))
+                else:
+                    d_weights = np.einsum("brfp,brpk->rfk", d_conv, windows)
+                d_biases = d_conv.sum(axis=(0, 3))
+                for index, branch in enumerate(self.convs):
+                    sink.add(branch.weight, d_weights[index].reshape(
+                        branch.weight.data.shape))
+                    sink.add(branch.bias, d_biases[index])
+        if self.scalars:
+            width = self.scalars[0].out_features
+            if self.flat_state:
+                scalars = x[..., self.scalar_rows]
+            else:
+                scalars = x[..., self.scalar_rows, -1]
+            d_scalar = d_pre[..., self.conv_span:].reshape(
+                lead + (len(self.scalars), width))
+            if stacked:
+                seeds = lead[0]
+                d_weights = np.einsum("sbnh,sbn->snh", d_scalar, scalars)
+                d_biases = d_scalar.sum(axis=1)
+                for index, branch in enumerate(self.scalars):
+                    sink.add(branch.weight, d_weights[:, index],
+                             out_shape=(seeds, width))
+                    sink.add(branch.bias, d_biases[:, index])
+            else:
+                d_weights = np.einsum("bsh,bs->sh", d_scalar, scalars)
+                d_biases = d_scalar.sum(axis=0)
+                for index, branch in enumerate(self.scalars):
+                    sink.add(branch.weight, d_weights[index][None, :])
+                    sink.add(branch.bias, d_biases[index])
+        return None
 
 
 class _LayerNormOp:
@@ -876,23 +1088,20 @@ class CompiledSequence:
 # The actor-critic plan.
 # --------------------------------------------------------------------------- #
 class _ActorInference:
-    """Version-cached inference context: the precomputed actor-only plan.
+    """Inference context: the actor-only op chain (encoder + actor tower).
 
-    Captures the resolved op list once per weight version (optimizer steps
-    mutate parameter arrays in place, so the context stays current between
-    rebuilds; ``load_state_dict``-style rebinding bumps versions and forces a
-    rebuild).  This is the generic analogue of the folded Pensieve tower —
-    there is no single matrix to fold a branched/recurrent network into, so
-    the fold here is the pre-resolved kernel chain.
+    Ops read parameter arrays at call time, so one context stays current
+    across optimizer steps and ``load_state_dict``-style rebinding; ops that
+    fold weights (the Pensieve branch bank) keep their own version-cached
+    fold.
     """
 
-    __slots__ = ("ops", "dtype", "state_ndim", "version")
+    __slots__ = ("ops", "dtype", "state_ndim")
 
-    def __init__(self, ops, dtype, state_ndim, version) -> None:
+    def __init__(self, ops, dtype, state_ndim) -> None:
         self.ops = ops
         self.dtype = dtype
         self.state_ndim = state_ndim
-        self.version = version
 
     def probs(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=self.dtype)
@@ -907,17 +1116,20 @@ class _ActorInference:
 class CompiledPlan:
     """Fused kernels for one actor-critic network.
 
-    The plan provides the three engines the ISSUE names: the analytic
-    serial ``fused_forward``/``fused_backward`` pair consumed by
+    The plan provides three engines: the analytic serial
+    ``fused_forward``/``fused_backward`` pair consumed by
     :class:`~repro.rl.a2c.A2CTrainer`, the inference ``policy_probs`` path
-    (version-cached contexts via :meth:`inference`), and — through
+    (the cached context from :meth:`inference`), and — through
     :class:`CompiledSeedStack` — the stacked per-seed variant for the
     multi-seed lockstep trainer.
     """
 
     def __init__(self, network) -> None:
         encoder_ops, actor_ops, critic_ops = _lower_actor_critic(network)
-        self.network = network
+        # The shape, not the network: the network caches this plan, and a
+        # plan -> network reference would make every compiled network a
+        # reference cycle that only the cyclic GC frees.
+        self.state_shape = network.state_shape
         self.encoder_ops = encoder_ops
         self.actor_ops = actor_ops
         self.critic_ops = critic_ops
@@ -932,7 +1144,8 @@ class CompiledPlan:
             raise CompileError("network has no trainable parameters")
         self.dtype = self.params[0].data.dtype
         self._sink = _GradSink(self.params, self.dtype)
-        self._infer_cache: Optional[_ActorInference] = None
+        self._inference = _ActorInference(encoder_ops + actor_ops, self.dtype,
+                                          len(self.state_shape))
 
     # -- identity -------------------------------------------------------- #
     @property
@@ -951,6 +1164,10 @@ class CompiledPlan:
                 return (name, op.kind, op.layer.hidden_size)
             if isinstance(op, _LayerNormOp):
                 return (name, op.layer.gamma.data.shape)
+            if isinstance(op, _BranchBankOp):
+                return (name, op.rows, op.history, tuple(op.temporal_rows),
+                        tuple(op.scalar_rows), op.filters, op.kernel,
+                        op.stride, op.width, op.activation_name)
             return (name,)
         return tuple(tuple(op_sig(op) for op in ops)
                      for ops in (self.encoder_ops, self.actor_ops,
@@ -976,13 +1193,10 @@ class CompiledPlan:
                    for op in self.encoder_ops + self.actor_ops
                    + self.critic_ops)
 
-    def _version(self) -> int:
-        return sum(getattr(p, "version", 0) for p in self.params)
-
     # -- training kernels ------------------------------------------------ #
     def _cast_states(self, states: np.ndarray, stacked: bool) -> np.ndarray:
         states = np.asarray(states, dtype=self.dtype)
-        expected = len(self.network.state_shape) + (2 if stacked else 1)
+        expected = len(self.state_shape) + (2 if stacked else 1)
         if states.ndim == expected - 1:
             states = states[None, ...]
         return states
@@ -1019,29 +1233,19 @@ class CompiledPlan:
 
     # -- inference ------------------------------------------------------- #
     def inference(self) -> _ActorInference:
-        """The version-cached actor-tower inference context."""
-        version = self._version()
-        cached = self._infer_cache
-        if cached is None or cached.version != version:
-            cached = _ActorInference(self.encoder_ops + self.actor_ops,
-                                     self.dtype,
-                                     len(self.network.state_shape), version)
-            self._infer_cache = cached
-        return cached
+        """The actor-tower inference context."""
+        return self._inference
 
     def policy_probs(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=self.dtype)
-        if states.ndim == len(self.network.state_shape):
-            states = states[None, ...]
-        return self.policy_probs_batch(states)
+        """Action probabilities; a single state gets a batch axis."""
+        return self._inference.probs(states)
 
     def policy_probs_batch(self, states: np.ndarray) -> np.ndarray:
         """Action probabilities for a strict ``(batch, *state_shape)`` block.
 
         The serving entry point: the fleet harness stacks one state per
         session needing a decision this tick and makes ONE call here, so the
-        cost per decision is one GEMM row of the version-cached actor chain
-        instead of one Python forward per player.  Every op in the chain is
+        cost per decision is one GEMM row of the actor chain instead of one Python forward per player.  Every op in the chain is
         row-independent (GEMMs, elementwise activations, per-row softmax),
         so row ``i`` of the result is bit-identical to calling
         :meth:`policy_probs` on ``states[i]`` alone — which is what lets
@@ -1051,24 +1255,34 @@ class CompiledPlan:
         bug, not an implicit batch of one.
         """
         states = np.asarray(states, dtype=self.dtype)
-        if states.ndim != len(self.network.state_shape) + 1:
+        if states.ndim != len(self.state_shape) + 1:
             raise ValueError(
-                f"expected (batch, *{self.network.state_shape}) states, got "
+                f"expected (batch, *{self.state_shape}) states, got "
                 f"shape {states.shape}")
         return self.inference().probs(states)
 
 
 def _lower_actor_critic(network) -> Tuple[List, List, List]:
-    """Lower a :class:`~repro.abr.networks.GenericActorCritic`-shaped net."""
+    """Lower a design-space actor-critic network into its three op walks."""
     # Only networks whose forward we know bit-for-bit can be lowered: a
     # custom subclass overriding forward/_encode computes something the plan
     # would silently disagree with.
-    from ..abr.networks import GenericActorCritic
+    from ..abr.networks import GenericActorCritic, PensieveNetwork
 
+    if isinstance(network, PensieveNetwork):
+        if type(network).forward is not PensieveNetwork.forward:
+            raise CompileError("subclass overrides forward; the planner "
+                               "cannot prove kernel equivalence")
+        bank = _BranchBankOp(network)
+        if bank.width != network.actor_hidden.in_features:
+            raise CompileError("branch bank width does not match the towers")
+        return ([bank],
+                [_DenseOp(network.actor_hidden), _DenseOp(network.actor_out)],
+                [_DenseOp(network.critic_hidden),
+                 _DenseOp(network.critic_out)])
     if not isinstance(network, GenericActorCritic):
-        raise CompileError("only design-space GenericActorCritic networks "
-                           "(and the hand-fused PensieveNetwork) are "
-                           "lowerable")
+        raise CompileError("only design-space GenericActorCritic and "
+                           "PensieveNetwork networks are lowerable")
     if (type(network).forward is not GenericActorCritic.forward
             or type(network)._encode is not GenericActorCritic._encode):
         raise CompileError("subclass overrides forward/_encode; the planner "
@@ -1105,7 +1319,8 @@ def plan_for(network) -> Optional[CompiledPlan]:
     try:
         plan = CompiledPlan(network)
     except CompileError as exc:
-        network.__dict__["_compile_cache"] = exc
+        # Cached without its traceback, whose frames hold the network.
+        network.__dict__["_compile_cache"] = exc.with_traceback(None)
         _log_unlowered(network, str(exc))
         _count_compile("compile.fallback",
                        {"network": type(network).__name__,
@@ -1131,12 +1346,12 @@ def _count_compile(name: str, attrs) -> None:
 class SeedParameterStack:
     """Stacked-weight view of several identically-shaped networks.
 
-    Generic machinery shared by the Pensieve seed stack and the compiled
-    stack: each parameter of the per-seed networks is stacked into one
-    ``(seeds, *shape)`` array, and the per-seed networks' parameters are
-    rebound as views of their slice — so updating the stack updates every
-    seed network in place and checkpoint evaluation/serialization see
-    current weights with no unpack step.
+    Generic machinery behind :class:`CompiledSeedStack`: each parameter of
+    the per-seed networks is stacked into one ``(seeds, *shape)`` array, and
+    the per-seed networks' parameters are rebound as views of their slice —
+    so updating the stack updates every seed network in place and
+    checkpoint evaluation/serialization see current weights with no unpack
+    step.
     """
 
     def __init__(self, networks: Sequence) -> None:
@@ -1248,15 +1463,15 @@ class SeedParameterStack:
 
 
 class CompiledSeedStack(SeedParameterStack):
-    """Stacked lockstep engine for compiled (generated) architectures.
+    """Stacked lockstep engine for every lowerable architecture.
 
-    Provides the same contract :class:`~repro.abr.networks.PensieveSeedStack`
-    gives the multi-seed trainer — ``parameters``/``stacked_of``/
+    Gives the multi-seed trainer ``parameters``/``stacked_of``/
     ``mark_updated``, batched ``fused_forward``/``fused_backward``, and
-    per-seed ``seed_policy_forward`` inference contexts — for any network the
-    kernel planner can lower.  Seed ``s``'s slice of every kernel equals the
-    serial compiled kernel on ``networks[s]`` (batched GEMMs resolve each
-    seed's slice with the same BLAS calls), which the equivalence suite pins.
+    per-seed ``seed_policy_forward`` inference contexts for any network the
+    kernel planner can lower, the original Pensieve network included.  Seed
+    ``s``'s slice of every kernel equals the serial compiled kernel on
+    ``networks[s]`` (batched GEMMs resolve each seed's slice with the same
+    BLAS calls), which the equivalence suite pins.
     """
 
     def __init__(self, networks: Sequence) -> None:
@@ -1320,7 +1535,7 @@ class CompiledSeedStack(SeedParameterStack):
 
         The per-seed network's parameters are views into the stacked arrays,
         so the context always reads current weights; ``mark_updated`` bumps
-        versions so the cached context is rebuilt after rebinding events.
+        their versions so folded weights are refreshed after a step.
         """
         plan = plan_for(self.networks[seed])
         return plan.inference()

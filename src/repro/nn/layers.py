@@ -38,7 +38,8 @@ class Parameter(Tensor):
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
         #: Bumped on every optimizer step / state load; lets inference caches
-        #: (e.g. the folded Pensieve tower) detect weight changes cheaply.
+        #: (e.g. the compiler's folded Pensieve branch bank) detect weight
+        #: changes cheaply.
         self.version = 0
 
 
@@ -178,8 +179,8 @@ class Dense(Module):
         self.weight = Parameter(initializers.xavier_uniform((in_features, out_features), rng=rng),
                                 name="dense.weight")
         self.bias = Parameter(np.zeros(out_features), name="dense.bias") if bias else None
-        # "custom" marks a callable activation the fast inference path cannot
-        # replicate; it forces inference back through the autograd forward.
+        # "custom" marks a callable activation the kernel compiler cannot
+        # lower; it keeps the network on the autograd graph path.
         self.activation_name = (activation if isinstance(activation, str) or activation is None
                                 else "custom")
         self.activation = get_activation(activation)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .. import nn
 from ..abr.env import SimulatorConfig, StreamingSession
-from ..abr.networks import build_seed_stack, seed_stack_compatible
 from ..abr.qoe import LinearQoE, QoEMetric
 from ..abr.state import original_state_function, original_states_batched
 from ..abr.video import Video
@@ -390,9 +389,9 @@ class MultiSeedA2CTrainer:
     The §3.1 protocol trains each design ``num_seeds`` times with different
     seeds; serially that is ``num_seeds`` full :class:`A2CTrainer` loops.
     This trainer stacks the per-seed network weights into 3-D tensors
-    (:class:`~repro.abr.networks.PensieveSeedStack` for the original
-    architecture, :class:`~repro.nn.compile.CompiledSeedStack` for generated
-    design-space architectures the kernel planner lowers) and runs all
+    (:class:`~repro.nn.compile.CompiledSeedStack`, for the original Pensieve
+    architecture and every generated design-space architecture the kernel
+    planner lowers) and runs all
     sessions together: per round, each seed samples its own trace/offset
     from its own RNG stream, the per-chunk policy forwards batch across
     seeds, and one batched fused forward/backward plus a stacked in-place
@@ -432,12 +431,12 @@ class MultiSeedA2CTrainer:
         for agent, rng in zip(self.agents, self._rngs):
             agent.seed(int(rng.integers(2 ** 31)))
         networks = [agent.network for agent in self.agents]
-        if not seed_stack_compatible(networks):
+        if not nn.CompiledSeedStack.compatible(networks):
             raise ValueError(
                 "agents' networks cannot train in lockstep (no fused update "
                 "support or mismatched architectures); train each seed with "
                 "A2CTrainer instead")
-        self.stack = build_seed_stack(networks)
+        self.stack = nn.CompiledSeedStack(networks)
         groups = _actor_critic_groups(networks[0], self.config,
                                       stacked_of=self.stack.stacked_of)
         self._optimizer = _make_stacked_optimizer(self.config.optimizer,
@@ -470,13 +469,13 @@ class MultiSeedA2CTrainer:
     def supports(networks) -> bool:
         """Whether these networks can train through the lockstep engine.
 
-        True for the original Pensieve architecture (hand-fused seed stack)
-        and for any generated design-space architecture the kernel planner
-        can lower (:class:`~repro.nn.compile.CompiledSeedStack`); False for
-        mixed architectures or exotic codegen output, which train per seed
-        through the graph reference path.
+        True for the original Pensieve architecture and for any generated
+        design-space architecture the kernel planner can lower
+        (:class:`~repro.nn.compile.CompiledSeedStack`); False for mixed
+        architectures, exotic codegen output or ``--no-compile``, which
+        train per seed through the graph reference path.
         """
-        return seed_stack_compatible(list(networks))
+        return nn.CompiledSeedStack.compatible(list(networks))
 
     @property
     def num_seeds(self) -> int:

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.abr.networks import (GenericActorCritic, PensieveNetwork,
-                                build_seed_stack, seed_stack_compatible)
+from repro.abr.networks import GenericActorCritic, PensieveNetwork
 from repro.analysis.experiments import ExperimentScale, build_environment
 from repro.core.codegen import load_network_builder
 from repro.core.design import Design, DesignKind
@@ -86,6 +85,21 @@ def _autograd_reference(network, states, dlogits, dvalues):
     return logits.numpy().copy(), values.numpy().copy(), grads
 
 
+PENSIEVE_ACTIVATIONS = ("relu", "leaky_relu", "elu", "tanh")
+EQUIVALENCE_NETWORKS = (["flatten", "conv", "rnn", "gru", "lstm"]
+                        + [f"pensieve:{act}" for act in PENSIEVE_ACTIVATIONS])
+
+
+def _equivalence_network(kind, seed, state_shape=(6, 8)):
+    """A generic encoder family, or ``pensieve:<activation>``."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("pensieve:"):
+        return PensieveNetwork(state_shape, 5, hidden_size=24,
+                               activation=kind.partition(":")[2], rng=rng)
+    return GenericActorCritic(state_shape, 5, hidden_sizes=(24, 24),
+                              encoder=kind, rng=rng)
+
+
 # --------------------------------------------------------------------------- #
 # Property test (satellite): >= 20 random specs per encoder family, compiled
 # gradients match autograd in both dtypes.
@@ -99,12 +113,9 @@ def test_random_design_specs_compile_and_match_autograd(family, engine_guard):
         dtype = ("float64", "float32")[index % 2]
         nn.set_default_dtype(dtype)
         network = _build_from_spec(spec, seed=index)
-        if not network.supports_fused_update():
-            # pensieve_conv designs with non-ReLU activations keep the graph
-            # path (the hand fold requires ReLU); everything the compiler
-            # owns must lower.
-            assert isinstance(network, PensieveNetwork), spec
-            continue
+        # Every design-space family lowers, pensieve_conv with any
+        # activation included.
+        assert network.supports_fused_update(), spec
         states = data_rng.normal(size=(5, 6, 8)).astype(dtype)
         dlogits = data_rng.normal(size=(5, 5)).astype(dtype)
         dvalues = data_rng.normal(size=(5,)).astype(dtype)
@@ -112,9 +123,9 @@ def test_random_design_specs_compile_and_match_autograd(family, engine_guard):
             network, states, dlogits, dvalues)
         cache, logits, values = network.fused_forward(states)
         network.fused_backward(cache, dlogits, dvalues)
-        # The Pensieve fold groups the branch-bank GEMMs differently from
-        # the per-branch graph (same math, different operand grouping), so
-        # its float32 agreement is loose; the compiled generic kernels
+        # The Pensieve branch-bank fold groups the per-branch GEMMs into
+        # one (same math, different operand grouping), so its float32
+        # agreement is at float32 round-off; the other compiled kernels
         # mirror the graph op for op and must hit 1e-9 in both dtypes.
         tol = (2e-4 if isinstance(network, PensieveNetwork)
                and dtype == "float32" else 1e-9)
@@ -128,18 +139,49 @@ def test_random_design_specs_compile_and_match_autograd(family, engine_guard):
             <= tol
 
 
+#: Pensieve state layouts: the default conv + scalar bank, conv-only rows,
+#: a flat state and rows too short for the kernel (scalar-only).
+PENSIEVE_SHAPES = [(6, 8), (4, 8), (5,), (6, 3)]
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("activation", PENSIEVE_ACTIVATIONS)
+def test_pensieve_compiles_and_matches_autograd(activation, dtype,
+                                                engine_guard):
+    nn.set_default_dtype(dtype)
+    data_rng = np.random.default_rng(3)
+    # The folded branch bank sums the per-branch products in one GEMM, so
+    # float32 agrees with the graph at float32 round-off, not 1e-9.
+    tol = 1e-9 if dtype == "float64" else 1e-5
+    for index, shape in enumerate(PENSIEVE_SHAPES):
+        network = _equivalence_network(f"pensieve:{activation}", index,
+                                       state_shape=shape)
+        assert network.supports_fused_update(), shape
+        states = data_rng.normal(size=(5,) + shape).astype(dtype)
+        dlogits = data_rng.normal(size=(5, 5)).astype(dtype)
+        dvalues = data_rng.normal(size=(5,)).astype(dtype)
+        ref_logits, ref_values, ref_grads = _autograd_reference(
+            network, states, dlogits, dvalues)
+        cache, logits, values = network.fused_forward(states)
+        network.fused_backward(cache, dlogits, dvalues)
+        assert np.abs(logits - ref_logits).max() <= tol, shape
+        assert np.abs(values - ref_values).max() <= tol, shape
+        for p, g in zip(network.parameters(), ref_grads):
+            assert p.grad.dtype == g.dtype, (shape, p.name)
+            assert np.abs(p.grad - g).max() <= tol, (shape, p.name)
+        assert np.abs(network.policy_probs(states)
+                      - network._policy_probs_graph(states)).max() <= tol
+
+
 # --------------------------------------------------------------------------- #
 # Stacked kernels: per-seed slices equal the serial compiled kernels.
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("encoder", ["flatten", "conv", "rnn", "gru", "lstm"])
-def test_compiled_seed_stack_matches_serial_kernels(encoder, dtype,
+@pytest.mark.parametrize("kind", EQUIVALENCE_NETWORKS)
+def test_compiled_seed_stack_matches_serial_kernels(kind, dtype,
                                                     engine_guard):
     nn.set_default_dtype(dtype)
-    nets = [GenericActorCritic((6, 8), 5, hidden_sizes=(24, 24),
-                               encoder=encoder,
-                               rng=np.random.default_rng(10 + s))
-            for s in range(3)]
+    nets = [_equivalence_network(kind, 10 + s) for s in range(3)]
     assert CompiledSeedStack.compatible(nets)
     rng = np.random.default_rng(1)
     states = rng.normal(size=(3, 6, 6, 8)).astype(dtype)
@@ -194,12 +236,17 @@ def _tiny_trainer(setup, num_seeds=2, lockstep=True):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("encoder", ["flatten", "gru"])
+@pytest.mark.parametrize("encoder,activation", [
+    ("flatten", "relu"), ("gru", "relu"),
+    # Non-ReLU Pensieve designs train on the compiled lockstep engine too.
+    ("pensieve_conv", "tanh")])
 def test_compiled_lockstep_matches_serial_graph_path(env_setup, encoder,
-                                                     dtype, engine_guard):
+                                                     activation, dtype,
+                                                     engine_guard):
     nn.set_default_dtype(dtype)
     trainer = _tiny_trainer(env_setup)
-    design = _generated_design(encoder)
+    design = _generated_design(encoder, activation=activation)
+    assert trainer.supports_lockstep(None, design)
     lock_runs = trainer.run_seeds(None, design, [0, 1])
     nn.set_compilation(False)
     graph_runs = [trainer.run(None, design, seed=s) for s in (0, 1)]
@@ -239,11 +286,14 @@ def test_multi_seed_supports_compiled_generated_networks(env_setup):
                                rng=np.random.default_rng(s))
             for s in range(2)]
     assert MultiSeedA2CTrainer.supports(nets)
-    assert seed_stack_compatible(nets)
-    assert type(build_seed_stack(nets)).__name__ == "CompiledSeedStack"
+    assert CompiledSeedStack.compatible(nets)
+    # Pensieve networks of any activation stack through the same engine.
+    pensieves = [PensieveNetwork((6, 8), 4, activation="tanh",
+                                 rng=np.random.default_rng(s))
+                 for s in range(2)]
+    assert MultiSeedA2CTrainer.supports(pensieves)
     # Mixed architectures still refuse.
-    pensieve = PensieveNetwork((6, 8), 4, rng=np.random.default_rng(0))
-    assert not MultiSeedA2CTrainer.supports([nets[0], pensieve])
+    assert not MultiSeedA2CTrainer.supports([nets[0], pensieves[0]])
 
 
 # --------------------------------------------------------------------------- #

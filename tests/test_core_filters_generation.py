@@ -135,7 +135,7 @@ class TestFilterPipeline:
                                             "audit.normalization": 1}
         assert 0.0 < report.compilable_fraction <= 1.0
         assert designs[1].audit_findings
-        assert designs[3].lowerability == "hand_fused"  # PensieveNetwork
+        assert designs[3].lowerability == "compiled"  # ReLU PensieveNetwork
 
     def test_dynamic_checks_without_audit(self):
         # With the audit stage disabled the dynamic pre-checks behave

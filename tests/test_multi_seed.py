@@ -13,7 +13,7 @@ import pytest
 
 from repro import nn
 from repro.abr.env import StreamingSession
-from repro.abr.networks import GenericActorCritic, PensieveSeedStack
+from repro.abr.networks import GenericActorCritic
 from repro.abr.state import StateFunction, original_states_batched
 from repro.analysis.experiments import ExperimentScale, build_environment
 from repro.core.design import Design, DesignKind
@@ -233,7 +233,7 @@ def test_supports_rejects_mixed_and_generic_networks(env_setup):
     assert MultiSeedA2CTrainer.supports([a.network for a in agents])
     generic = GenericActorCritic((6, 8), setup.video.num_bitrates)
     assert not MultiSeedA2CTrainer.supports([agents[0].network, generic])
-    assert not PensieveSeedStack.compatible([])
+    assert not nn.CompiledSeedStack.compatible([])
 
 
 # --------------------------------------------------------------------------- #
@@ -345,7 +345,7 @@ def test_original_states_batched_matches_serial(env_setup):
 def test_seed_stack_parameters_alias_network_weights(env_setup):
     setup = env_setup
     agents = _agents(setup, [0, 1])
-    stack = PensieveSeedStack([agent.network for agent in agents])
+    stack = nn.CompiledSeedStack([agent.network for agent in agents])
     for index, agent in enumerate(agents):
         for p, sp in zip(agent.network.parameters(), stack.parameters()):
             assert p.data.base is sp.data

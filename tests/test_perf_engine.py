@@ -19,8 +19,7 @@ import pytest
 
 from repro import nn
 from repro.abr.env import ChunkLevelSimulator, SimulatorConfig
-from repro.abr.networks import (GenericActorCritic, PensieveNetwork,
-                                fast_inference_enabled, set_fast_inference)
+from repro.abr.networks import GenericActorCritic, PensieveNetwork
 from repro.abr.state import StateFunction
 from repro.abr.video import synthetic_video
 from repro.analysis.experiments import ExperimentScale, build_environment
@@ -283,11 +282,11 @@ class TestFastInference:
         for network in cases:
             states = rng.normal(size=(5,) + network.state_shape)
             fast = network.policy_probs(states)
-            previous = set_fast_inference(False)
+            previous = nn.set_compilation(False)
             try:
                 graph = network.policy_probs(states)
             finally:
-                set_fast_inference(previous)
+                nn.set_compilation(previous)
             np.testing.assert_allclose(fast, graph, atol=1e-12)
 
     def test_fold_cache_invalidated_by_optimizer_step(self):
@@ -300,19 +299,13 @@ class TestFastInference:
         (logits.sum() + value.sum()).backward()
         optimizer.step()
         after = network.policy_probs(states)
-        previous = set_fast_inference(False)
+        previous = nn.set_compilation(False)
         try:
             graph = network.policy_probs(states)
         finally:
-            set_fast_inference(previous)
+            nn.set_compilation(previous)
         np.testing.assert_allclose(after, graph, atol=1e-12)
         assert np.abs(after - before).max() > 1e-9
-
-    def test_toggle_roundtrip(self):
-        previous = set_fast_inference(False)
-        assert fast_inference_enabled() is False
-        set_fast_inference(previous)
-        assert fast_inference_enabled() is previous
 
 
 class TestFusedUpdate:

@@ -234,13 +234,26 @@ class TestLowerabilityAgreesWithCompiler:
         assert prediction.verdict == "compiled", prediction
         assert plan_for(network) is not None
 
-    def test_pensieve_network_is_hand_fused(self):
-        code = NETWORK_SPACE.render(NetworkDesignSpec(encoder="pensieve_conv"))
+    # Every lowerable activation is covered by the healthy-spec cross-check
+    # below; softmax is the one the fused kernels do not implement.
+    @pytest.mark.parametrize("activation,verdict", [
+        ("relu", "compiled"), ("softmax", "graph_fallback")])
+    def test_pensieve_network_verdict_follows_activation(self, activation,
+                                                         verdict):
+        code = NETWORK_SPACE.render(NetworkDesignSpec(encoder="pensieve_conv",
+                                                      activation=activation,
+                                                      hidden_size=24))
         prediction, network = self._verdict_and_network(code)
-        assert prediction.verdict == "hand_fused"
-        # The fused-plan compiler skips it; the dedicated Pensieve engine
-        # (folded conv weights) takes over instead.
-        assert plan_for(network) is None
+        assert prediction.verdict == verdict, prediction
+        assert prediction.activation == activation
+        assert (plan_for(network) is not None) == (verdict == "compiled")
+
+    @pytest.mark.parametrize("spec", HEALTHY_NETWORK_SPECS,
+                             ids=lambda s: ",".join(s.tags))
+    def test_healthy_specs_verdict_matches_plan_for(self, spec):
+        prediction, network = self._verdict_and_network(
+            NETWORK_SPACE.render(spec))
+        assert prediction.fast == (plan_for(network) is not None), prediction
 
     def test_unlowerable_activation_falls_back(self):
         code = ("def build_network(state_shape, num_actions, rng=None):\n"
