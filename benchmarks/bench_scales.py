@@ -216,21 +216,19 @@ def seed_reference_mode():
     from repro.rl import policy as rl_policy
 
     saved = (nn_layers.Conv1D.forward, nn_optim.RMSProp.step,
-             rl_policy.sample_action, rl_agent.sample_action,
-             nn.set_compilation(False), nn.set_default_dtype("float64"))
+             rl_policy.sample_action, rl_agent.sample_action)
     nn_layers.Conv1D.forward = _seed_conv1d_forward
     nn_optim.RMSProp.step = _seed_rmsprop_step
     rl_policy.sample_action = _seed_sample_action
     rl_agent.sample_action = _seed_sample_action
     try:
-        yield
+        with nn.engine.using(nn.EngineConfig(dtype="float64", compile=False)):
+            yield
     finally:
         nn_layers.Conv1D.forward = saved[0]
         nn_optim.RMSProp.step = saved[1]
         rl_policy.sample_action = saved[2]
         rl_agent.sample_action = saved[3]
-        nn.set_compilation(saved[4])
-        nn.set_default_dtype(saved[5])
 
 
 # --------------------------------------------------------------------------- #
@@ -253,13 +251,16 @@ def run_protocol_workload(scale: ExperimentScale,
                           ) -> Tuple[float, Dict[str, float]]:
     """Score the original design plus the given generated states.
 
+    With ``lockstep`` each design is one job over its whole seed batch
+    (trained in lockstep when the design supports it); without it every
+    seed is its own singleton job, the per-seed reference.
+
     Returns (wall-clock seconds, {design label: protocol score}).
     """
     setup = build_environment("fcc", scale)
     config = replace(scale.evaluation_config(),
                      simulator=SimulatorConfig(download_engine=download_engine),
-                     batched_evaluation=batched_evaluation,
-                     lockstep_training=lockstep)
+                     batched_evaluation=batched_evaluation)
     trainer = DesignTrainer(setup.video, setup.train_traces, setup.test_traces,
                             config=config, qoe=setup.qoe)
     protocol = TestScoreProtocol(trainer,
@@ -267,13 +268,21 @@ def run_protocol_workload(scale: ExperimentScale,
     designs = designs or []
     # Route each design into the slot its kind dictates (state designs pair
     # with the original network and vice versa).
-    jobs = [(None, None)] + [TestScoreProtocol._design_job(design)
-                             for design in designs]
+    jobs = [protocol.job(None, None)] + [
+        protocol.job(*TestScoreProtocol._design_job(design))
+        for design in designs]
+    if not lockstep:
+        jobs = [replace(job, seeds=(seed,))
+                for job in jobs for seed in job.seeds]
     start = time.perf_counter()
-    results = protocol.run_many(jobs)
+    results = protocol.scheduler.run(jobs)
     elapsed = time.perf_counter() - start
     labels = ["original"] + [design.design_id for design in designs]
-    scores = {label: score for label, (score, _) in zip(labels, results)}
+    width = 1 if lockstep else len(protocol.seeds)
+    scores = {label: protocol_score(
+                  [run for result in results[index * width:(index + 1) * width]
+                   for run in result.runs], config.last_k_checkpoints)
+              for index, label in enumerate(labels)}
     return elapsed, scores
 
 
@@ -405,33 +414,27 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
     The workload scores LLM-style generated *network* designs (non-Pensieve
     encoders: dense, conv, gru, lstm) under the §3.1 protocol twice:
 
-    * **graph mode** — the pre-compiler path: ``set_compilation(False)``, so
+    * **graph mode** — the pre-compiler path: compilation off, so
       every generated design trains per seed through the autograd graph
       (exactly what the repository executed before the kernel compiler);
     * **compiled mode** — the kernel compiler lowers each design onto the
       fused engines and the whole seed batch trains in lockstep.
 
-    Both modes keep exact numerics, so trace choices and actions are
-    identical and ``max_score_delta`` is expected to be exactly 0.0.
+    The compiled kernels mirror the graph operation for operation, so trace
+    choices and actions are identical and ``max_score_delta`` is expected
+    to be exactly 0.0.
     """
-    from repro import nn
-
     scale = replace(scale or DEFAULT_BENCH_SCALE, num_seeds=num_seeds)
     designs = _generated_designs(num_designs)
-    previous_dtype = nn.set_default_dtype(dtype)
-    try:
-        previous_compile = nn.set_compilation(False)
-        try:
-            graph_seconds, graph_scores = run_protocol_workload(
-                scale, download_engine="prefix_sum", batched_evaluation=True,
-                workers=workers, designs=designs, lockstep=True)
-        finally:
-            nn.set_compilation(previous_compile)
+    engine = nn.EngineConfig(dtype=dtype)
+    with nn.engine.using(replace(engine, compile=False)):
+        graph_seconds, graph_scores = run_protocol_workload(
+            scale, download_engine="prefix_sum", batched_evaluation=True,
+            workers=workers, designs=designs, lockstep=True)
+    with nn.engine.using(engine):
         compiled_seconds, compiled_scores = run_protocol_workload(
             scale, download_engine="prefix_sum", batched_evaluation=True,
             workers=workers, designs=designs, lockstep=True)
-    finally:
-        nn.set_default_dtype(previous_dtype)
 
     score_delta = max(abs(graph_scores[k] - compiled_scores[k])
                       for k in graph_scores)
@@ -448,7 +451,6 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
                          for spec in GENERATED_BENCH_SPECS[:num_designs]],
             "dtype": dtype,
             "workers": workers,
-            "numerics": nn.get_numerics(),
         },
         "graph_mode": {"seconds": round(graph_seconds, 3),
                        "scores": graph_scores},
@@ -461,14 +463,14 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
 
 
 def _campaign_workload(scale: ExperimentScale, environments: Sequence[str],
-                       designs: Sequence, lockstep: bool):
+                       designs: Sequence):
     """Build the cross-environment job list for the campaign benchmark.
 
     Returns ``(jobs, labels)`` where each label identifies one
     (environment, design) cell; ``jobs`` carries one job per cell covering
     the full seed batch.
     """
-    config = replace(scale.evaluation_config(), lockstep_training=lockstep)
+    config = scale.evaluation_config()
     seeds = tuple(range(scale.num_seeds))
     jobs: List[EvaluationJob] = []
     labels: List[str] = []
@@ -496,8 +498,8 @@ def run_campaign_benchmark(scale: Optional[ExperimentScale] = None,
     Three passes over the same multi-environment workload:
 
     * **flat mode** — the pre-scheduler execution shape: one work item per
-      (design, seed) with lockstep off, i.e. what the old
-      ``run_many``-style flat fan-out executed;
+      (design, seed), each a singleton seed batch trained per seed, i.e.
+      what the old ``run_many``-style flat fan-out executed;
     * **campaign mode** — the scheduler's native shape: one job per design
       covering the whole seed batch, trained in lockstep inside the worker,
       writing a cold result store;
@@ -513,8 +515,7 @@ def run_campaign_benchmark(scale: Optional[ExperimentScale] = None,
     try:
         # Flat per-seed shape: singleton seed batches, per-seed training.
         flat_jobs = []
-        base_jobs, labels = _campaign_workload(scale, environments,
-                                               designs, lockstep=False)
+        base_jobs, labels = _campaign_workload(scale, environments, designs)
         for job in base_jobs:
             flat_jobs.extend(replace(job, seeds=(seed,)) for seed in job.seeds)
         flat_scheduler = CampaignScheduler(ParallelConfig(max_workers=workers))
@@ -530,7 +531,7 @@ def run_campaign_benchmark(scale: Optional[ExperimentScale] = None,
 
         # Campaign shape: one lockstep job per design, cold store.
         campaign_jobs, labels = _campaign_workload(scale, environments,
-                                                   designs, lockstep=True)
+                                                   designs)
         with tempfile.TemporaryDirectory(prefix="bench-campaign-") as root:
             store = ResultStore(root)
             scheduler = CampaignScheduler(ParallelConfig(max_workers=workers),

@@ -83,11 +83,6 @@ class ExperimentScale:
     #: Tensor dtype for the nn substrate: "float64" (accuracy-first default)
     #: or "float32" (fast path).  Applied by the experiment drivers.
     dtype: str = "float64"
-    #: Train all seeds of a design in lockstep with stacked per-seed weights
-    #: when the architecture supports it.  The scheduler runs one design's
-    #: seed batch inside one worker, so lockstep composes with the process
-    #: fan-out; results are identical to per-seed training, just faster.
-    lockstep: bool = True
     #: Directory of the persistent result store shared by the drivers; None
     #: (default) recomputes everything.
     store_dir: Optional[str] = None
@@ -104,7 +99,6 @@ class ExperimentScale:
             a2c=A2CConfig(entropy_weight_start=self.entropy_weight_start,
                           entropy_weight_end=self.entropy_weight_end,
                           entropy_anneal_epochs=max(self.train_epochs // 2, 1)),
-            lockstep_training=self.lockstep,
         )
 
     def parallel_config(self) -> ParallelConfig:

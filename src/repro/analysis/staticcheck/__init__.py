@@ -13,9 +13,9 @@ This package analyzes *code as text* — before anything is executed:
 * :mod:`~repro.analysis.staticcheck.contracts` — the **repo contract
   linter**, which runs over ``src/repro`` itself and enforces the invariants
   CI used to re-fix by hand: RNG discipline in library code, store-key
-  completeness of every config field and engine toggle, picklability of
-  everything submitted to the process pool, and allocation-free disabled
-  paths in the telemetry helpers.
+  completeness of every config field and the engine configuration,
+  picklability of everything submitted to the process pool, and
+  allocation-free disabled paths in the telemetry helpers.
 
 Entry points: ``repro lint --designs DIR`` audits generated code on disk,
 ``repro lint --self`` runs the contract linter plus the auditor's self-test

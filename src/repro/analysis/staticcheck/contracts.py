@@ -12,13 +12,18 @@ fail-the-build job.
     annotations) is the sanctioned idiom.
 ``repo.store-key``
     The PR 4 bug class, made impossible to reintroduce silently: every
-    module-level engine toggle (any ``global _X`` write anywhere in the
-    tree) must either have its getter referenced by
-    ``core/results.py``'s ``context_fingerprint`` or carry a documented
-    exemption here; every ``NadaConfig`` field must be classified as key
-    material or engine-only; the store's ``_NON_RESULT_FIELDS`` allowlist
-    must name real ``EvaluationConfig`` fields.  Adding a field or toggle
-    without updating the classification fails the build.
+    setting that can change a score is a field of the one engine
+    configuration (:class:`repro.nn.EngineConfig`), so the only
+    fingerprinted module global (any ``global _X`` write anywhere in the
+    tree) is its registry; every other must carry a documented exemption
+    here.  Both store-key builders — ``core/results.py``'s
+    ``context_fingerprint`` and ``emulation/emulator.py``'s
+    ``emulation_context_fingerprint`` — must hash the engine through
+    ``current().fingerprint()``, and that method must read every
+    ``EngineConfig`` field.  Every ``NadaConfig`` field must be classified
+    as key material or engine-only; the store's ``_NON_RESULT_FIELDS``
+    allowlist must name real ``EvaluationConfig`` fields.  Adding a field
+    or toggle without updating the classification fails the build.
 ``repo.picklability``
     Everything submitted to :func:`~repro.core.parallel.parallel_map` /
     :func:`~repro.core.parallel.run_resilient` must survive pickling:
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -53,18 +59,22 @@ _NP_RANDOM_CONSTRUCTORS = frozenset({
     "PCG64", "MT19937", "Philox", "SFC64",
 })
 
-#: Engine toggles (module globals written via ``global``) that MUST be
-#: referenced — via the named getter — in ``context_fingerprint``'s source,
-#: because flipping them changes stored numeric results.
-_TOGGLE_GETTERS: Dict[str, str] = {
-    "_DEFAULT_DTYPE": "get_default_dtype",
-    "_COMPILE_ENABLED": "compilation_enabled",
-    "_NUMERICS": "get_numerics",
-}
+#: The engine registry: the module global in ``nn/engine.py`` holding the
+#: current :class:`~repro.nn.engine.EngineConfig`.  It is the one
+#: fingerprinted ``global``; a new score-changing setting becomes a field of
+#: that value, never a global of its own.
+_ENGINE_REGISTRY = "_ENGINE"
 
-#: Engine toggles exempt from the fingerprint, each with the reason the
+#: The store-key builders, by file: each must hash the engine configuration
+#: through ``current().fingerprint()``.
+_KEY_BUILDERS: Tuple[Tuple[str, str], ...] = (
+    ("core/results.py", "context_fingerprint"),
+    ("emulation/emulator.py", "emulation_context_fingerprint"),
+)
+
+#: Module globals exempt from the fingerprint, each with the reason the
 #: exemption is sound.  A new ``global _X`` write anywhere in the tree that
-#: appears in neither map fails the lint.
+#: is neither the engine registry nor listed here fails the lint.
 _TOGGLE_EXEMPT: Dict[str, str] = {
     "_GRAD_ENABLED": "transient no_grad context, restored on exit; never "
                      "active across a stored training run boundary",
@@ -184,50 +194,79 @@ def _written_globals(tree: ast.Module) -> Iterable[Tuple[str, ast.Global]]:
                 yield name, node
 
 
+def _keys_engine(tree: Optional[ast.Module], name: str) -> Optional[bool]:
+    """Whether function ``name`` calls ``current().fingerprint()``; None when
+    the module does not define it."""
+    fn = next((node for node in (tree.body if tree is not None else ())
+               if isinstance(node, ast.FunctionDef) and node.name == name),
+              None)
+    if fn is None:
+        return None
+    return any(isinstance(node, ast.Call) and re.search(
+                   r"(^|\.)current\(\)\.fingerprint$", ast.unparse(node.func))
+               for node in ast.walk(fn))
+
+
+def _unhashed_engine_fields(tree: Optional[ast.Module]) -> List[str]:
+    """``EngineConfig`` fields its ``fingerprint()`` never reads."""
+    for node in (tree.body if tree is not None else ()):
+        if isinstance(node, ast.ClassDef) and node.name == "EngineConfig":
+            fields = [stmt.target.id for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            method = next((stmt for stmt in node.body
+                           if isinstance(stmt, ast.FunctionDef)
+                           and stmt.name == "fingerprint"), None)
+            read = {sub.attr for sub in ast.walk(method)
+                    if isinstance(sub, ast.Attribute)} if method else set()
+            return [name for name in fields if name not in read]
+    return []
+
+
 def _check_store_keys(root: Path,
                       trees: Dict[Path, ast.Module]) -> List[AuditFinding]:
     findings: List[AuditFinding] = []
 
-    # 1. Engine toggles: every `global _X` write must be classified, and
-    #    fingerprint-relevant toggles must actually appear in the
-    #    context_fingerprint source.
-    results_path = root / "core" / "results.py"
-    fingerprint_source = ""
-    results_tree = trees.get(results_path)
-    if results_tree is not None:
-        for node in results_tree.body:
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name == "context_fingerprint"):
-                fingerprint_source = ast.unparse(node)
-    if not fingerprint_source:
+    # 1. The engine: both key builders hash the one EngineConfig, whose
+    #    fingerprint reads every field, and every other `global _X` write
+    #    is an exempted non-numeric global.
+    for relative, name in _KEY_BUILDERS:
+        path = root / relative
+        keyed = _keys_engine(trees.get(path), name)
+        if keyed is None:
+            findings.append(_finding(
+                "repo.store-key",
+                f"{relative} no longer defines {name}; the store-key "
+                "completeness check cannot run", path, root))
+        elif not keyed:
+            findings.append(_finding(
+                "repo.store-key",
+                f"{name} must key the engine through "
+                "nn.engine.current().fingerprint() (EngineConfig."
+                "fingerprint), not through individual settings", path, root))
+    engine_path = root / "nn" / "engine.py"
+    for field in _unhashed_engine_fields(trees.get(engine_path)):
         findings.append(_finding(
             "repo.store-key",
-            "core/results.py no longer defines context_fingerprint; the "
-            "store-key completeness check cannot run", results_path, root))
+            f"EngineConfig.{field} is not read by EngineConfig.fingerprint()"
+            "; every engine setting is store-key material", engine_path,
+            root))
 
-    seen_toggles: Set[str] = set()
+    seen_globals: Set[str] = set()
     for path, tree in trees.items():
         for name, node in _written_globals(tree):
             if not name.startswith("_"):
                 continue
-            seen_toggles.add(name)
-            if name in _TOGGLE_EXEMPT:
-                continue
-            getter = _TOGGLE_GETTERS.get(name)
-            if getter is None:
+            seen_globals.add(name)
+            if name != _ENGINE_REGISTRY and name not in _TOGGLE_EXEMPT:
                 findings.append(_finding(
                     "repo.store-key",
                     f"module global {name!r} is written via `global` but is "
-                    "neither fingerprinted (_TOGGLE_GETTERS) nor exempted "
-                    "(_TOGGLE_EXEMPT) in staticcheck/contracts.py — "
-                    "classify it", path, root, node))
-            elif fingerprint_source and getter not in fingerprint_source:
-                findings.append(_finding(
-                    "repo.store-key",
-                    f"engine toggle {name!r} must be keyed: "
-                    f"context_fingerprint does not reference {getter}()",
-                    path, root, node))
-    for name in (set(_TOGGLE_GETTERS) | set(_TOGGLE_EXEMPT)) - seen_toggles:
+                    "neither a field of the engine configuration "
+                    "(repro.nn.EngineConfig) nor exempted (_TOGGLE_EXEMPT) "
+                    "in staticcheck/contracts.py — classify it", path, root,
+                    node))
+    for name in ({_ENGINE_REGISTRY} | set(_TOGGLE_EXEMPT)) - seen_globals:
         findings.append(_finding(
             "repo.store-key",
             f"stale toggle classification: {name!r} is no longer written "
@@ -247,7 +286,7 @@ def _check_store_keys(root: Path,
             "repo.store-key",
             f"_NON_RESULT_FIELDS names {name!r}, which is not an "
             "EvaluationConfig field; the allowlist is stale",
-            results_path, root))
+            root / "core" / "results.py", root))
 
     nada_fields = {f.name for f in dataclasses.fields(NadaConfig)}
     classified = set(_NADA_KEY_FIELDS) | set(_NADA_ENGINE_FIELDS)

@@ -137,6 +137,19 @@ def _add_logging_flags(parser: argparse.ArgumentParser) -> None:
                             "result tables still print to stdout")
 
 
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine configuration (:class:`repro.nn.EngineConfig`) flags."""
+    parser.add_argument("--dtype", choices=["float32", "float64"],
+                        default="float64",
+                        help="tensor dtype: float64 (accuracy-first default) "
+                             "or float32 (fast path)")
+    parser.add_argument("--no-compile", action="store_true",
+                        help="disable the fused-kernel compiler; every "
+                             "network then runs through the autograd graph "
+                             "reference path (the escape hatch when "
+                             "debugging a design)")
+
+
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by the ``run`` and ``campaign`` subcommands."""
     parser.add_argument("--target", choices=["state", "network", "both"],
@@ -211,26 +224,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                         default=30.0, metavar="SECONDS",
                         help="how long --backend remote tolerates an empty "
                              "worker pool before applying --remote-fallback")
-    parser.add_argument("--dtype", choices=["float32", "float64"], default="float64",
-                        help="tensor dtype: float64 (accuracy-first default) or "
-                             "float32 (fast path)")
-    parser.add_argument("--no-lockstep", action="store_true",
-                        help="disable the multi-seed lockstep trainer (stacked "
-                             "per-seed weights, batched fused updates) and train "
-                             "every seed separately; results are identical, "
-                             "lockstep is just faster")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="disable the fused-kernel compiler for generated "
-                             "architectures; they then train through the "
-                             "autograd graph reference path (the escape "
-                             "hatch when debugging a design)")
-    parser.add_argument("--numerics", choices=["exact", "fast"],
-                        default="exact",
-                        help="gradient-contraction numerics: 'exact' "
-                             "(default) mirrors the autograd reference bit "
-                             "for bit; 'fast' re-blocks the conv-gradient "
-                             "contractions into single GEMMs — statistically "
-                             "equivalent scores, not bit-identical")
+    _add_engine_flags(parser)
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="persistent result-store directory; repeated or "
                              "interrupted campaigns reuse every already-"
@@ -329,11 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--num-chunks", type=int, default=16)
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for the trace mix and policy weights")
-    serve.add_argument("--dtype", choices=["float32", "float64"],
-                       default="float64")
-    serve.add_argument("--no-compile", action="store_true")
-    serve.add_argument("--numerics", choices=["exact", "fast"],
-                       default="exact")
+    _add_engine_flags(serve)
     serve.add_argument("--json", action="store_true",
                        help="emit the serving metrics as JSON instead of the "
                             "rendered summary")
@@ -400,7 +390,6 @@ def _campaign_config(args: argparse.Namespace, environment: str) -> NadaConfig:
                                           // max(checkpoint_interval, 1))),
             num_seeds=args.num_seeds,
             a2c=A2CConfig(entropy_anneal_epochs=max(train_epochs // 2, 1)),
-            lockstep_training=not args.no_lockstep,
         ),
         use_early_stopping=not args.no_early_stopping,
         seed=args.seed,
@@ -413,10 +402,9 @@ def _campaign_config(args: argparse.Namespace, environment: str) -> NadaConfig:
 
 
 def _apply_engine_flags(args: argparse.Namespace) -> None:
-    """Apply the process-global engine toggles the campaign flags select."""
-    nn.set_default_dtype(args.dtype)
-    nn.set_compilation(not args.no_compile)
-    nn.set_numerics(args.numerics)
+    """Install the engine configuration ``--dtype``/``--no-compile`` pick."""
+    nn.engine.install(nn.EngineConfig(dtype=args.dtype,
+                                      compile=not args.no_compile))
 
 
 def _install_faults(args: argparse.Namespace) -> None:

@@ -13,7 +13,8 @@ compared results pins to one thread — fleet shards and their serial
 reference, and every scheduler job wherever it runs — which makes results
 independent of ``OPENBLAS_NUM_THREADS`` and the core count.  Where no setter
 symbol is found (another BLAS vendor, a NumPy without a bundled OpenBLAS)
-every call is a logged no-op.
+every call is a no-op, and the process logs one warning: the pin guards both
+speed and bit identity, so losing it must not go unseen.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def _openblas() -> Optional[Tuple[Callable[..., object], Callable[[], int]]]:
                 getter.argtypes = []
                 getter.restype = ctypes.c_int
                 return setter, getter
-    logger.info("no OpenBLAS thread-count symbol found; BLAS threading is "
-                "left as configured")
+    logger.warning("no OpenBLAS thread-count symbol found: BLAS is not pinned "
+                   "to one thread, so parallel workers may oversubscribe the "
+                   "host and results may depend on OPENBLAS_NUM_THREADS")
     return None
 
 

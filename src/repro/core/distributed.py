@@ -723,7 +723,7 @@ def _execute_job(message: Dict[str, Any], wfile: IO[str],
     key = str(message.get("key", ""))
     fn, item = _decode(message["payload"])
     # The active fault plan rides inside the work item (like the scheduler's
-    # engine-state tuple); install it — or clear a predecessor's — before
+    # engine configuration); install it — or clear a predecessor's — before
     # consulting any rpc site so injection is placement-independent.
     faults.install_plan(getattr(item, "fault_plan", None))
     if faults.rpc_rule("rpc.worker_crash", key, attempt) is not None:

@@ -66,16 +66,6 @@ class EvaluationConfig:
     #: Step all test traces in lockstep with one batched policy forward per
     #: chunk during checkpoint evaluation (greedy, noise-free only).
     batched_evaluation: bool = True
-    #: Train all seeds of a design simultaneously with stacked per-seed
-    #: weights and batched fused updates (the multi-seed lockstep engine).
-    #: The campaign scheduler runs one design's whole seed batch inside one
-    #: worker, so lockstep applies both serially and under process fan-out.
-    #: Requires a network with fused updates — the original Pensieve
-    #: architecture or any generated design the kernel compiler
-    #: (:mod:`repro.nn.compile`) can lower — and no early-stopping
-    #: classifier; anything else falls back to the per-seed path.
-    #: Seed-for-seed results are identical either way (tested).
-    lockstep_training: bool = True
 
     def scaled(self, factor: float) -> "EvaluationConfig":
         """Return a copy with the training schedule scaled by ``factor``."""
@@ -228,21 +218,22 @@ class DesignTrainer:
                   ) -> List[TrainingRun]:
         """Train the design for every seed, in lockstep when possible.
 
-        Dispatches to the multi-seed lockstep engine when
-        ``config.lockstep_training`` is on, more than one seed is requested,
-        no early-stopping classifier is attached (per-seed early stops would
-        desynchronize the lockstep), and the instantiated networks support
-        stacked fused updates.  Otherwise every seed runs through
-        :meth:`run`.  Both paths produce identical records seed for seed.
+        Dispatches to the multi-seed lockstep engine
+        (:class:`~repro.rl.a2c.MultiSeedA2CTrainer`: stacked per-seed
+        weights, batched fused updates) when more than one seed is
+        requested, no early-stopping classifier is attached (per-seed early
+        stops would desynchronize the lockstep), and the instantiated
+        networks support stacked fused updates — the original Pensieve
+        network or any generated design the kernel compiler can lower.
+        Otherwise every seed runs through :meth:`run`, the per-seed
+        reference.  Both paths produce identical records seed for seed.
 
         This is also the campaign scheduler's worker entry point: one
         scheduled job trains one design's whole seed batch here, inside a
         single worker process, so lockstep training composes with the
         across-design process fan-out instead of competing with it.
         """
-        cfg = self.config
-        if (cfg.lockstep_training and early_stopping is None
-                and len(seeds) > 1):
+        if early_stopping is None and len(seeds) > 1:
             agents = [instantiate_agent(state_design, network_design,
                                         self.video, self.train_traces,
                                         seed=seed) for seed in seeds]
@@ -262,8 +253,6 @@ class DesignTrainer:
         instead.  Instantiation failures report False — the job itself will
         surface the real error when it runs.
         """
-        if not self.config.lockstep_training:
-            return False
         try:
             agent = instantiate_agent(state_design, network_design,
                                       self.video, self.train_traces, seed=0)

@@ -64,8 +64,8 @@ placement cannot change which faults fire.
 
 The plan is installed process-globally (:func:`install_plan` /
 :func:`inject`) and rides to pool workers inside the scheduler's task
-payloads exactly like the engine-state tuple, so a worker observes the same
-plan the parent does.
+payloads exactly like the engine configuration, so a worker observes the
+same plan the parent does.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class FaultPlan:
 
 # --------------------------------------------------------------------------- #
 # Process-global plan.  The scheduler copies the installed plan into worker
-# payloads (like the engine-state tuple), and the worker entry point
+# payloads (like the engine configuration), and the worker entry point
 # re-installs it before consulting any site.
 # --------------------------------------------------------------------------- #
 

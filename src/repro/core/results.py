@@ -14,17 +14,17 @@ Key schema (one JSON file per record)::
     key = sha256(context fingerprint | design fingerprint | seed)
 
 * **context fingerprint** — the evaluation context: environment label,
-  tensor dtype, the kernel compiler toggle and its numerics mode, the
+  the engine configuration (:meth:`repro.nn.EngineConfig.fingerprint`:
+  tensor dtype and the kernel compiler toggle), the
   :class:`~repro.core.evaluation.EvaluationConfig` (with its nested A2C and
   simulator configs), the video (bitrate ladder, chunk sizes, chunk
   duration) and the exact train/test trace arrays, and the QoE metric's
   class and parameters.  Changing any of these invalidates the cache.
-  Engine toggles that are proven bit-identical by the equivalence tests
-  (``lockstep_training``, ``batched_evaluation``) are deliberately
-  *excluded*, so a campaign recorded under one execution engine can be
-  replayed under any other — as are ``num_seeds`` and
-  ``last_k_checkpoints``, which shape seed-list defaults and score
-  aggregation but never a stored per-seed run.
+  ``batched_evaluation``, an execution choice proven bit-identical by the
+  equivalence tests, is deliberately *excluded*, so a campaign recorded
+  under one execution engine can be replayed under any other — as are
+  ``num_seeds`` and ``last_k_checkpoints``, which shape seed-list defaults
+  and score aggregation but never a stored per-seed run.
 * **design fingerprint** — sha256 over each component's kind and source code
   (``original`` for the unmodified Pensieve component).
 * **seed** — the training seed.  The scheduler reads a job's cache
@@ -96,18 +96,19 @@ logger = get_logger("results")
 #: v4: the fast-inference toggle left the context, and Pensieve designs with
 #: non-ReLU activations now train on the compiled kernels (a v3 record of
 #: one came from the autograd graph and differs by float round-off).
-_SCHEMA_VERSION = "v4"
+#: v5: the engine enters the key as one ``EngineConfig.fingerprint()``;
+#: the ``numerics=`` token left with the fast-numerics tier.
+_SCHEMA_VERSION = "v5"
 
-#: EvaluationConfig fields excluded from the key.  ``lockstep_training`` and
-#: ``batched_evaluation`` are pure execution-engine choices whose outputs are
-#: pinned bit-identical by the equivalence tests; ``num_seeds`` and
-#: ``last_k_checkpoints`` only shape seed-list defaults and score
-#: *aggregation*, never the per-seed training run a record stores — excluding
-#: them lets a shorter protocol over the same design hit the records a longer
-#: one wrote (the scheduler re-stamps ``last_k_checkpoints`` from the
-#: requesting config on load).
-_NON_RESULT_FIELDS = frozenset({"lockstep_training", "batched_evaluation",
-                                "num_seeds", "last_k_checkpoints"})
+#: EvaluationConfig fields excluded from the key.  ``batched_evaluation`` is
+#: a pure execution-engine choice whose outputs are pinned bit-identical by
+#: the equivalence tests; ``num_seeds`` and ``last_k_checkpoints`` only shape
+#: seed-list defaults and score *aggregation*, never the per-seed training
+#: run a record stores — excluding them lets a shorter protocol over the same
+#: design hit the records a longer one wrote (the scheduler re-stamps
+#: ``last_k_checkpoints`` from the requesting config on load).
+_NON_RESULT_FIELDS = frozenset({"batched_evaluation", "num_seeds",
+                                "last_k_checkpoints"})
 
 
 def _sha256(parts: Iterable[bytes]) -> str:
@@ -153,22 +154,17 @@ def design_fingerprint(state_design: Optional["Design"],
 def context_fingerprint(trainer: "DesignTrainer", environment: str = "") -> str:
     """Fingerprint of everything in the evaluation context that shapes results.
 
-    Covers the environment label, tensor dtype, evaluation/A2C/simulator
-    configs, the video and the full train/test trace arrays, and the QoE
-    metric — but not engine toggles proven bit-identical (see module docs).
+    Covers the environment label, the engine configuration,
+    evaluation/A2C/simulator configs, the video and the full train/test
+    trace arrays, and the QoE metric — but not execution choices proven
+    bit-identical (see module docs).
     """
     video = trainer.video
     qoe = trainer.qoe
     parts = [
         _SCHEMA_VERSION.encode("utf-8"),
         environment.encode("utf-8"),
-        str(nn.get_default_dtype()).encode("utf-8"),
-        # The kernel compiler is key material (fused-vs-graph loss gradients
-        # agree to round-off, not bitwise), and so is its numerics mode
-        # ("fast" re-blocks gradient contractions and is only statistically
-        # equivalent).
-        f"compile={nn.compilation_enabled()}".encode("utf-8"),
-        f"numerics={nn.get_numerics()}".encode("utf-8"),
+        nn.engine.current().fingerprint(),
         _config_tokens(trainer.config),
         _config_tokens({
             "bitrates_kbps": list(video.bitrates_kbps),

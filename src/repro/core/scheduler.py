@@ -155,26 +155,14 @@ def _job_fault_key(job: EvaluationJob) -> str:
 
 # --------------------------------------------------------------------------- #
 # Worker payloads.  Spawned workers start from a fresh interpreter, so the
-# process-global engine toggles — tensor dtype, the kernel compiler and its
-# numerics mode — ride along with every task and are re-applied before any
+# engine configuration (:class:`repro.nn.EngineConfig`: tensor dtype and the
+# kernel compiler) rides along with every task and is installed before any
 # computation.
 # --------------------------------------------------------------------------- #
-def _engine_state() -> Tuple[str, bool, str]:
-    return (str(nn.get_default_dtype()), nn.compilation_enabled(),
-            nn.get_numerics())
-
-
-def _apply_engine_state(state: Tuple[str, bool, str]) -> None:
-    dtype, compiled, numerics = state
-    nn.set_default_dtype(dtype)
-    nn.set_compilation(compiled)
-    nn.set_numerics(numerics)
-
-
 @dataclass(frozen=True)
 class _JobTask:
     job: EvaluationJob
-    engine: Tuple[str, bool, str]
+    engine: nn.EngineConfig
     #: Whether the parent has telemetry enabled.  Worker processes start
     #: from a fresh interpreter with telemetry off; when set, the task runs
     #: inside :func:`telemetry.capture` and ships its events back with the
@@ -182,7 +170,7 @@ class _JobTask:
     #: the exact same capture so event streams match across worker counts.
     capture_telemetry: bool = False
     #: The active fault plan rides to workers with the task, exactly like
-    #: the engine-state tuple, so injection sites fire identically no
+    #: the engine configuration, so injection sites fire identically no
     #: matter where the job lands.
     fault_plan: Optional[FaultPlan] = None
 
@@ -201,7 +189,7 @@ def _run_job_task(
     differently, so pinning every executor keeps serial == workers == remote
     bit for bit whatever ``OPENBLAS_NUM_THREADS`` says.
     """
-    _apply_engine_state(task.engine)
+    nn.engine.install(task.engine)
     if task.fault_plan is not None:
         faults.install_plan(task.fault_plan)
     job = task.job
@@ -227,14 +215,14 @@ def _run_job_task(
 class _MapTask:
     fn: Callable[[Any], Any]
     item: Any
-    engine: Tuple[str, bool, str]
+    engine: nn.EngineConfig
     capture_telemetry: bool = False
 
 
 def _run_map_task(
         task: _MapTask,
 ) -> Tuple[Any, Optional[List[telemetry.TelemetryEvent]]]:
-    _apply_engine_state(task.engine)
+    nn.engine.install(task.engine)
     with blas.single_threaded():
         if not task.capture_telemetry:
             return task.fn(task.item), None
@@ -270,11 +258,12 @@ class CampaignScheduler:
         #: memoized per live trainer instance (trainers are reused across
         #: jobs).  Weak keys mean a recycled object address can never serve
         #: another trainer's fingerprint, and the per-trainer entries are
-        #: keyed by the inputs that can change between runs (dtype, engine
-        #: toggles, environment label) so toggling any recomputes.
+        #: keyed by the inputs that can change between runs (the engine
+        #: configuration and the environment label) so changing either
+        #: recomputes.
         self._contexts: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         #: Memoized "does this design train in lockstep?" probes, keyed by
-        #: design fingerprint and the engine toggles the answer depends on.
+        #: design fingerprint and the engine configuration.
         self._lockstep_probe: Dict[Tuple, bool] = {}
         #: Set by :meth:`request_shutdown` (and the SIGINT/SIGTERM handlers
         #: installed around :meth:`run`): in-flight jobs drain, queued jobs
@@ -346,15 +335,13 @@ class CampaignScheduler:
 
     # ------------------------------------------------------------------ #
     def _context(self, job: EvaluationJob) -> str:
-        variant = (str(nn.get_default_dtype()), nn.compilation_enabled(),
-                   nn.get_numerics(),
-                   job.environment)
+        variant = (nn.engine.current(), job.environment)
         per_trainer = self._contexts.setdefault(job.trainer, {})
         fingerprint = per_trainer.get(variant)
         if fingerprint is None:
             if per_trainer:
                 # A fingerprint existed but for a different engine variant:
-                # the memoized context was invalidated by a dtype/toggle flip.
+                # the memoized context was invalidated by an engine change.
                 telemetry.counter("store.context_invalidated")
             fingerprint = context_fingerprint(job.trainer, job.environment)
             per_trainer[variant] = fingerprint
@@ -419,39 +406,37 @@ class CampaignScheduler:
         """True when per-seed fan-out cannot lose lockstep batching.
 
         Jobs whose training falls to the per-seed path regardless — an
-        early-stopping classifier attached, lockstep disabled in the
-        config, or an architecture the kernel compiler cannot lower (since
-        PR 5 generated designs *do* lockstep whenever
-        :mod:`repro.nn.compile` can lower them, so only exotic codegen
-        output still splits) — gain worker-level seed parallelism by
-        splitting into singleton seed batches; records are identical
-        either way because the per-seed path is exactly what runs inside
-        the whole batch.  Lockstep-eligible jobs stay whole so the stacked
-        engine applies inside their worker.
+        early-stopping classifier attached, or a design the kernel compiler
+        cannot lower (every design, the original Pensieve included, under
+        ``--no-compile``) — gain worker-level seed parallelism by splitting
+        into singleton seed batches; records are identical either way
+        because the per-seed path is exactly what runs inside the whole
+        batch.  Lockstep-eligible jobs stay whole so the stacked engine
+        applies inside their worker.
         """
-        if len(job.seeds) <= 1:
-            return False
-        if (job.early_stopping is not None
-                or not job.trainer.config.lockstep_training):
-            return True
-        if job.network_design is None:
-            return False
-        return not self._design_locksteps(job)
+        return len(job.seeds) > 1 and (job.early_stopping is not None
+                                       or not self._design_locksteps(job))
 
     def _design_locksteps(self, job: EvaluationJob) -> bool:
         """Memoized probe: would this job's design train in lockstep?
 
         Instantiating the design's network (cheap — weight init only) is
         the only way to know whether the kernel planner can lower it; the
-        answer is cached per design fingerprint and engine-toggle state so
+        answer is cached per design fingerprint and engine configuration so
         a campaign pays for each distinct design once.
         """
         key = (design_fingerprint(job.state_design, job.network_design),
-               nn.compilation_enabled())
+               nn.engine.current())
         cached = self._lockstep_probe.get(key)
         if cached is None:
-            cached = bool(job.trainer.supports_lockstep(job.state_design,
-                                                        job.network_design))
+            # Only fan-out probes, so the probe's own compile counters stay
+            # out of the event stream, which must match the serial run's.
+            sink = telemetry.set_telemetry(None)
+            try:
+                cached = bool(job.trainer.supports_lockstep(
+                    job.state_design, job.network_design))
+            finally:
+                telemetry.set_telemetry(sink)
             self._lockstep_probe[key] = cached
         return cached
 
@@ -691,7 +676,7 @@ class CampaignScheduler:
         even when a sibling subjob of the same job failed or a shutdown
         arrived mid-batch, so resumed campaigns skip them.
         """
-        engine = _engine_state()
+        engine = nn.engine.current()
         plan = faults.get_plan()
         # Remote workers parallelize like a multi-worker pool, so jobs that
         # split per-seed under fan-out split the same way for them — record
@@ -875,11 +860,11 @@ class CampaignScheduler:
         Used by drivers whose work items do not produce
         :class:`TrainingRun` batches (e.g. the early-stopping corpus
         builder).  The scheduler still owns execution — worker processes
-        inherit the tensor dtype and every engine toggle exactly as
-        evaluation jobs do — but results bypass the store.
+        install the engine configuration exactly as evaluation jobs do —
+        but results bypass the store.
         """
         tel = telemetry.get_telemetry()
-        engine = _engine_state()
+        engine = nn.engine.current()
         tasks = [_MapTask(fn, item, engine, tel is not None)
                  for item in items]
         flat = parallel_map(_run_map_task, tasks, self.parallel)

@@ -40,7 +40,9 @@ Policy = Callable[[Observation], int]
 #: any key-material convention below changes.
 #: emu-v2: the fast-inference toggle left the key material; non-ReLU
 #: Pensieve policies now infer through the compiled kernels.
-_EMULATION_SCHEMA = "emu-v2"
+#: emu-v3: the engine enters the key as one ``EngineConfig.fingerprint()``;
+#: the ``numerics=`` token left with the fast-numerics tier.
+_EMULATION_SCHEMA = "emu-v3"
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,11 @@ def emulation_context_fingerprint(video: Video, qoe: Optional[QoEMetric] = None,
     """Fingerprint of everything in the *emulation* context that shapes results.
 
     The emulation analogue of :func:`repro.core.results.context_fingerprint`:
-    covers the environment label, the engine toggles that are only
-    round-off-equivalent (dtype, kernel compilation and its numerics mode),
-    the full :class:`EmulationConfig` — including ``link.delivery_engine``,
-    whose prefix/bisect inversions agree to ~1e-14 but **not** bitwise —
-    the video and the QoE metric.
+    covers the environment label, the engine configuration (dtype and the
+    kernel compiler, only round-off-equivalent across values), the full
+    :class:`EmulationConfig` — including ``link.delivery_engine``, whose
+    prefix/bisect inversions agree to ~1e-14 but **not** bitwise — the
+    video and the QoE metric.
 
     Deliberately excluded: every :class:`~repro.emulation.fleet.FleetConfig`
     field (arrival process/rate/seed, batch window, max batch).  Those are
@@ -110,9 +112,7 @@ def emulation_context_fingerprint(video: Video, qoe: Optional[QoEMetric] = None,
     parts = [
         _EMULATION_SCHEMA.encode("utf-8"),
         environment.encode("utf-8"),
-        str(nn.get_default_dtype()).encode("utf-8"),
-        f"compile={nn.compilation_enabled()}".encode("utf-8"),
-        f"numerics={nn.get_numerics()}".encode("utf-8"),
+        nn.engine.current().fingerprint(),
         _config_tokens(config),
         _config_tokens({
             "bitrates_kbps": list(video.bitrates_kbps),

@@ -41,10 +41,12 @@ from .losses import (
     mse_loss,
     policy_gradient_loss,
 )
+from . import engine
 from .compile import (CompileError, CompiledPlan, CompiledSeedStack,
-                      CompiledSequence, SeedParameterStack,
-                      compilation_enabled, get_numerics, lower_sequence,
-                      plan_for, set_compilation, set_numerics)
+                      CompiledSequence, SeedParameterStack, lower_sequence,
+                      plan_for)
+from .engine import (EngineConfig, compilation_enabled, default_dtype,
+                     get_default_dtype, set_compilation, set_default_dtype)
 from .optim import (Adam, Optimizer, RMSProp, SGD, StackedAdam,
                     StackedRMSProp, StackedSGD, clip_grad_norm,
                     clip_grad_norm_stacked)
@@ -53,13 +55,10 @@ from .tensor import (
     Tensor,
     batched_matmul,
     concatenate,
-    default_dtype,
-    get_default_dtype,
     is_grad_enabled,
     no_grad,
     ones,
     randn,
-    set_default_dtype,
     stack,
     tensor,
     unfold1d,
@@ -71,7 +70,9 @@ __all__ = [
     "Tensor", "tensor", "zeros", "ones", "randn", "batched_matmul",
     "concatenate", "stack",
     "unfold1d", "no_grad", "is_grad_enabled",
-    "set_default_dtype", "get_default_dtype", "default_dtype",
+    # engine
+    "engine", "EngineConfig", "set_default_dtype", "get_default_dtype",
+    "default_dtype", "compilation_enabled", "set_compilation",
     # layers
     "Module", "Parameter", "Dense", "Conv1D", "GRUCell", "LSTMCell", "RNNCell",
     "Recurrent", "Flatten", "Dropout", "Sequential", "LayerNorm",
@@ -87,8 +88,7 @@ __all__ = [
     "clip_grad_norm", "clip_grad_norm_stacked",
     # compile
     "CompileError", "CompiledPlan", "CompiledSeedStack", "CompiledSequence",
-    "SeedParameterStack", "compilation_enabled", "set_compilation",
-    "get_numerics", "set_numerics", "plan_for", "lower_sequence",
+    "SeedParameterStack", "plan_for", "lower_sequence",
     # serialization
     "save_state", "load_state", "save_module", "load_module",
 ]

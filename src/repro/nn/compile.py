@@ -34,16 +34,10 @@ planner cannot lower (custom forward implementations, callable activations,
 stochastic dropout under lockstep) degrade to the autograd graph path with a
 logged reason — never an error.
 
-Two module-level switches control the compiler:
-
-* :func:`set_compilation` / ``--no-compile`` — disable lowering entirely;
-  every architecture, Pensieve included, then infers and trains through the
-  reference graph path.
-* :func:`set_numerics` — ``"exact"`` (default) keeps the autograd-mirroring
-  arithmetic; ``"fast"`` rewrites the conv-gradient contractions as single
-  re-blocked GEMMs (batch and position axes folded into one contraction),
-  which changes summation order and is therefore gated by a statistical
-  equivalence test instead of bit-exactness.
+:func:`~repro.nn.engine.set_compilation` / ``--no-compile`` (the
+``compile`` field of :class:`~repro.nn.engine.EngineConfig`) disables
+lowering entirely; every architecture, Pensieve included, then infers and
+trains through the reference graph path.
 """
 
 from __future__ import annotations
@@ -53,10 +47,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .engine import current, get_default_dtype
 from .layers import (Conv1D, Dense, Dropout, Flatten, GRUCell, LayerNorm,
                      LSTMCell, Module, Parameter, Recurrent, RNNCell,
                      Sequential)
-from .tensor import get_default_dtype
 
 __all__ = [
     "CompileError",
@@ -64,10 +58,6 @@ __all__ = [
     "CompiledSequence",
     "CompiledSeedStack",
     "SeedParameterStack",
-    "compilation_enabled",
-    "set_compilation",
-    "get_numerics",
-    "set_numerics",
     "plan_for",
     "lower_sequence",
     "lowerable_activation_names",
@@ -75,47 +65,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: When False, :func:`plan_for` refuses to compile anything and every
-#: architecture uses the autograd reference path (CLI: ``--no-compile``).
-_COMPILE_ENABLED = True
-
-#: Numerics mode: "exact" mirrors autograd bit for bit; "fast" re-blocks the
-#: gradient contractions (see module docstring).
-_NUMERICS = "exact"
-
 #: Reasons already logged once (avoid per-epoch log spam for one design).
 _LOGGED_REASONS: set = set()
-
-
-def set_compilation(enabled: bool) -> bool:
-    """Toggle the kernel compiler; returns the previous setting."""
-    global _COMPILE_ENABLED
-    previous = _COMPILE_ENABLED
-    _COMPILE_ENABLED = bool(enabled)
-    return previous
-
-
-def compilation_enabled() -> bool:
-    return _COMPILE_ENABLED
-
-
-def set_numerics(mode: str) -> str:
-    """Select gradient-contraction numerics: "exact" (default) or "fast".
-
-    Returns the previous mode.  ``"fast"`` trades bit-exactness with the
-    autograd reference for re-blocked GEMM contractions; it is gated by the
-    statistical-equivalence tests, not the bitwise suite.
-    """
-    global _NUMERICS
-    if mode not in ("exact", "fast"):
-        raise ValueError(f"unknown numerics mode {mode!r}; use 'exact' or 'fast'")
-    previous = _NUMERICS
-    _NUMERICS = mode
-    return previous
-
-
-def get_numerics() -> str:
-    return _NUMERICS
 
 
 class CompileError(Exception):
@@ -498,15 +449,7 @@ class _Conv1DOp:
             d_pre = self.act_bwd(dy.transpose(0, 1, 3, 2), aux)
             # Bias: mirror the graph's unbroadcast (sum batch, then positions).
             sink.sum(self.layer.bias, d_pre.sum(axis=1), axis=1)
-            if get_numerics() == "fast":
-                # Re-blocked contraction: fold (batch, positions) into one
-                # GEMM axis — one batched GEMM instead of a batched GEMM
-                # followed by a reduction.
-                p2 = patches.reshape(seeds, -1, patches.shape[-1])
-                d2 = d_pre.reshape(seeds, -1, oc)
-                d_ft = np.matmul(p2.swapaxes(-1, -2), d2)
-            else:
-                d_ft = np.matmul(patches.swapaxes(-1, -2), d_pre).sum(axis=1)
+            d_ft = np.matmul(patches.swapaxes(-1, -2), d_pre).sum(axis=1)
             sink.add(self.layer.weight, d_ft.swapaxes(-1, -2).reshape(
                 (seeds,) + self.layer.weight.data.shape))
         else:
@@ -515,12 +458,7 @@ class _Conv1DOp:
                 dy = dy.reshape(batch, oc, positions)
             d_pre = self.act_bwd(dy.transpose(0, 2, 1), aux)
             sink.sum(self.layer.bias, d_pre.sum(axis=0), axis=0)
-            if get_numerics() == "fast":
-                p2 = patches.reshape(-1, patches.shape[-1])
-                d2 = d_pre.reshape(-1, oc)
-                d_ft = p2.T @ d2
-            else:
-                d_ft = np.matmul(patches.swapaxes(-1, -2), d_pre).sum(axis=0)
+            d_ft = np.matmul(patches.swapaxes(-1, -2), d_pre).sum(axis=0)
             sink.add(self.layer.weight,
                      d_ft.T.reshape(self.layer.weight.data.shape))
         if not need_dx:
@@ -699,30 +637,14 @@ class _BranchBankOp:
                 lead + (branches, filters, self.positions))
             if stacked:
                 seeds = lead[0]
-                if get_numerics() == "fast":
-                    # Re-blocked GEMM contraction: (batch, positions) folded
-                    # into one axis — same sum, different summation order.
-                    d_weights = np.matmul(
-                        d_conv.transpose(0, 2, 3, 1, 4).reshape(
-                            seeds, branches, filters, -1),
-                        windows.transpose(0, 2, 1, 3, 4).reshape(
-                            seeds, branches, -1, kernel))
-                else:
-                    d_weights = np.einsum("sbrfp,sbrpk->srfk", d_conv, windows)
+                d_weights = np.einsum("sbrfp,sbrpk->srfk", d_conv, windows)
                 d_biases = d_conv.sum(axis=(1, 4))
                 for index, branch in enumerate(self.convs):
                     sink.add(branch.weight, d_weights[:, index],
                              out_shape=(seeds, filters, kernel))
                     sink.add(branch.bias, d_biases[:, index])
             else:
-                if get_numerics() == "fast":
-                    d_weights = np.matmul(
-                        d_conv.transpose(1, 2, 0, 3).reshape(
-                            branches, filters, -1),
-                        windows.transpose(1, 0, 2, 3).reshape(
-                            branches, -1, kernel))
-                else:
-                    d_weights = np.einsum("brfp,brpk->rfk", d_conv, windows)
+                d_weights = np.einsum("brfp,brpk->rfk", d_conv, windows)
                 d_biases = d_conv.sum(axis=(0, 3))
                 for index, branch in enumerate(self.convs):
                     sink.add(branch.weight, d_weights[index].reshape(
@@ -1311,7 +1233,7 @@ def plan_for(network) -> Optional[CompiledPlan]:
     autograd graph path.  The cache lives on the network instance and is
     dropped on pickling (worker processes recompile on first use).
     """
-    if not _COMPILE_ENABLED:
+    if not current().compile:
         return None
     cached = network.__dict__.get("_compile_cache")
     if cached is not None:

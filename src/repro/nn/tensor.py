@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .engine import get_default_dtype
+
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
 __all__ = [
@@ -32,57 +34,10 @@ __all__ = [
     "stack",
     "no_grad",
     "is_grad_enabled",
-    "set_default_dtype",
-    "get_default_dtype",
-    "default_dtype",
 ]
 
 
 _GRAD_ENABLED = True
-
-#: Floating-point dtype used for all tensor data and gradients.  float64 is
-#: the accuracy-first default; float32 is the fast path (half the memory
-#: traffic on the matmul-heavy actor-critic workload).
-_DEFAULT_DTYPE = np.dtype(np.float64)
-
-_SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def set_default_dtype(dtype: Union[str, np.dtype, type]) -> np.dtype:
-    """Set the global tensor dtype ("float32" or "float64").
-
-    Returns the previous default so callers can restore it.  Tensors created
-    before the switch keep their dtype; mixing is handled by NumPy promotion.
-    """
-    global _DEFAULT_DTYPE
-    resolved = np.dtype(dtype)
-    if resolved not in _SUPPORTED_DTYPES:
-        raise ValueError(
-            f"unsupported tensor dtype {dtype!r}; choose float32 or float64")
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolved
-    return previous
-
-
-def get_default_dtype() -> np.dtype:
-    """Return the dtype new tensors and gradients are created with."""
-    return _DEFAULT_DTYPE
-
-
-class default_dtype:
-    """Context manager that temporarily switches the tensor dtype."""
-
-    def __init__(self, dtype: Union[str, np.dtype, type]) -> None:
-        self._dtype = dtype
-        self._previous: Optional[np.dtype] = None
-
-    def __enter__(self) -> "default_dtype":
-        self._previous = set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._previous is not None:
-            set_default_dtype(self._previous)
 
 
 class no_grad:
@@ -111,7 +66,7 @@ def is_grad_enabled() -> bool:
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
+    return np.asarray(value, dtype=get_default_dtype())
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -141,7 +96,7 @@ class Tensor:
         backward: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
     ) -> None:
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=get_default_dtype())
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents = tuple(parents) if self.requires_grad or parents else ()
@@ -197,7 +152,8 @@ class Tensor:
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=_DEFAULT_DTYPE), self.data.shape)
+        grad = _unbroadcast(np.asarray(grad, dtype=get_default_dtype()),
+                            self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -408,7 +364,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+            grad = np.asarray(grad, dtype=get_default_dtype())
             if axis is None:
                 self._accumulate(np.full_like(self.data, float(grad)))
             else:
@@ -431,7 +387,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+            grad = np.asarray(grad, dtype=get_default_dtype())
             if axis is None:
                 mask = self.data == out_data
                 self._accumulate(mask * float(grad) / mask.sum())
@@ -498,7 +454,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+            grad = np.asarray(grad, dtype=get_default_dtype())
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
             self._accumulate(out_data * (grad - dot))
 
@@ -513,7 +469,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+            grad = np.asarray(grad, dtype=get_default_dtype())
             self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
 
         return Tensor._make(out_data, (self,), backward)
@@ -529,7 +485,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+        grad = np.asarray(grad, dtype=get_default_dtype())
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -562,11 +518,13 @@ def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
 
 
 def zeros(shape: Union[int, tuple], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, dtype=get_default_dtype()),
+                  requires_grad=requires_grad)
 
 
 def ones(shape: Union[int, tuple], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
+    return Tensor(np.ones(shape, dtype=get_default_dtype()),
+                  requires_grad=requires_grad)
 
 
 def randn(
@@ -587,7 +545,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+        grad = np.asarray(grad, dtype=get_default_dtype())
         for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 slicer = [slice(None)] * grad.ndim
@@ -620,7 +578,7 @@ def unfold1d(x: Tensor, kernel_size: int, stride: int = 1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+        grad = np.asarray(grad, dtype=get_default_dtype())
         patches = grad.reshape(batch, positions, channels, kernel_size)
         full = np.zeros_like(x.data)
         starts = np.arange(positions) * stride
@@ -638,7 +596,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+        grad = np.asarray(grad, dtype=get_default_dtype())
         for index, t in enumerate(tensors):
             if t.requires_grad:
                 t._accumulate(np.take(grad, index, axis=axis))

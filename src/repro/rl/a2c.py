@@ -632,11 +632,12 @@ class MultiSeedA2CTrainer:
                             batched: bool = True) -> List[float]:
         """Per-seed test scores, matching ``evaluate_agent`` seed for seed.
 
-        When the batched greedy path applies, all ``seeds x traces`` sessions
-        step in one lockstep grid with one stacked forward per chunk
-        (reusing the :func:`evaluate_agent_batched` loop); otherwise each
-        seed evaluates through the identical serial ``evaluate_agent`` call,
-        preserving its RNG consumption exactly.
+        When the batched greedy path applies, the seeds evaluate one after
+        another (seed-major): each seed's ``traces`` sessions step in
+        lockstep with one ``seed_policy_forward`` per chunk over that seed's
+        weights (reusing the :func:`evaluate_agent_batched` loop); otherwise
+        each seed evaluates through the identical serial ``evaluate_agent``
+        call, preserving its RNG consumption exactly.
         """
         noise_free = (self.simulator_config is None
                       or self.simulator_config.bandwidth_noise_std == 0)

@@ -6,9 +6,7 @@ The compiler's contract mirrors the multi-seed engine's: compiled kernels are
 design-space vocabulary, compiled rollout decisions are identical to the
 graph path's, and a generated design trained through the compiled lockstep
 engine (including inside a scheduler worker) reproduces the serial graph
-path's trajectories action for action.  Relaxed numerics (``--numerics
-fast``) is exempt from bit-exactness and instead pinned by statistical
-equivalence.
+path's trajectories action for action.
 """
 
 import dataclasses
@@ -34,14 +32,9 @@ SPECS_PER_FAMILY = 20
 
 @pytest.fixture
 def engine_guard():
-    """Restore every engine toggle a test may flip."""
-    dtype = nn.get_default_dtype()
-    compiled = nn.compilation_enabled()
-    numerics = nn.get_numerics()
-    yield
-    nn.set_default_dtype(dtype)
-    nn.set_compilation(compiled)
-    nn.set_numerics(numerics)
+    """Restore the engine configuration a test may change."""
+    with nn.engine.using(nn.engine.current()):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -225,12 +218,11 @@ def _generated_design(encoder, activation="relu", hidden=32):
                   code=NetworkDesignSpace().render(spec))
 
 
-def _tiny_trainer(setup, num_seeds=2, lockstep=True):
+def _tiny_trainer(setup, num_seeds=2):
     config = EvaluationConfig(train_epochs=6, checkpoint_interval=3,
                               last_k_checkpoints=2, num_seeds=num_seeds,
                               a2c=A2CConfig(entropy_anneal_epochs=4,
-                                            critic_lr=3e-3),
-                              lockstep_training=lockstep)
+                                            critic_lr=3e-3))
     return DesignTrainer(setup.video, setup.train_traces, setup.test_traces,
                          config=config, qoe=setup.qoe)
 
@@ -439,56 +431,6 @@ def test_mid_stack_conv_and_recurrent_propagate_input_gradients():
 
 
 # --------------------------------------------------------------------------- #
-# Relaxed numerics (satellite): fast mode is opt-in, statistically equivalent.
-# --------------------------------------------------------------------------- #
-def test_exact_numerics_is_the_default():
-    assert nn.get_numerics() == "exact"
-    with pytest.raises(ValueError):
-        nn.set_numerics("sloppy")
-
-
-def test_fast_numerics_gradients_statistically_equivalent(engine_guard):
-    rng = np.random.default_rng(0)
-    states = rng.normal(size=(16, 6, 8))
-    dlogits = rng.normal(size=(16, 6))
-    dvalues = rng.normal(size=(16,))
-
-    def grads_with(mode, network):
-        nn.set_numerics(mode)
-        cache, _, _ = network.fused_forward(states)
-        for p in network.parameters():
-            p.zero_grad()
-        network.fused_backward(cache, dlogits, dvalues)
-        return [p.grad.copy() for p in network.parameters()]
-
-    for network in (PensieveNetwork((6, 8), 6, rng=np.random.default_rng(1)),
-                    GenericActorCritic((6, 8), 6, encoder="conv",
-                                       hidden_sizes=(24, 24),
-                                       rng=np.random.default_rng(2))):
-        exact = grads_with("exact", network)
-        fast = grads_with("fast", network)
-        for e, f in zip(exact, fast):
-            scale = max(float(np.abs(e).max()), 1e-12)
-            assert float(np.abs(e - f).max()) / scale <= 1e-10
-
-
-def test_fast_numerics_scores_within_statistical_bound(env_setup,
-                                                       engine_guard):
-    trainer = _tiny_trainer(env_setup)
-    design = _generated_design("conv")
-    exact_runs = trainer.run_seeds(None, design, [0, 1])
-    nn.set_numerics("fast")
-    fast_runs = trainer.run_seeds(None, design, [0, 1])
-    for exact, fast in zip(exact_runs, fast_runs):
-        exact_score = np.mean(exact.checkpoint_scores)
-        fast_score = np.mean(fast.checkpoint_scores)
-        # Statistical-equivalence gate: the re-blocked contractions may
-        # diverge at round-off and flip individual sampled actions, but the
-        # protocol score must stay in the same band.
-        assert abs(exact_score - fast_score) <= 0.5
-
-
-# --------------------------------------------------------------------------- #
 # Scheduler planner dedupe (satellite).
 # --------------------------------------------------------------------------- #
 def test_identical_jobs_collapse_to_one_execution(env_setup, monkeypatch):
@@ -537,16 +479,20 @@ def test_early_stopping_jobs_never_collapse(env_setup):
 # --------------------------------------------------------------------------- #
 # CLI escape hatches.
 # --------------------------------------------------------------------------- #
-def test_cli_flags_toggle_compiler_and_numerics(engine_guard):
+def test_cli_engine_flags_install_one_engine_config(engine_guard):
     from repro.cli import _apply_engine_flags, build_parser
 
     parser = build_parser()
-    args = parser.parse_args(["run", "--no-compile", "--numerics", "fast"])
-    assert args.no_compile and args.numerics == "fast"
-    _apply_engine_flags(args)
-    assert not nn.compilation_enabled()
-    assert nn.get_numerics() == "fast"
-    args = parser.parse_args(["campaign"])
-    _apply_engine_flags(args)
-    assert nn.compilation_enabled()
-    assert nn.get_numerics() == "exact"
+    for command in ("run", "campaign", "serve"):
+        args = parser.parse_args([command, "--no-compile",
+                                  "--dtype", "float32"])
+        _apply_engine_flags(args)
+        assert nn.engine.current() == nn.EngineConfig(dtype="float32",
+                                                      compile=False)
+        _apply_engine_flags(parser.parse_args([command]))
+        assert nn.engine.current() == nn.EngineConfig()
+    # The relaxed-numerics tier and the lockstep toggle are gone.
+    for argv in (["run", "--numerics", "fast"], ["serve", "--numerics", "fast"],
+                 ["campaign", "--no-lockstep"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)

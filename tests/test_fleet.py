@@ -8,6 +8,7 @@ change wall-clock time only, never results.
 
 import functools
 import hashlib
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -353,6 +354,27 @@ class TestShardedFleet:
             assert blas._get_num_threads() == 2
         finally:
             blas.set_num_threads(previous)
+
+    def test_blas_pin_without_openblas_warns_once(self, monkeypatch,
+                                                  caplog):
+        # A host whose BLAS has no OpenBLAS setter cannot be pinned; that
+        # must surface as a warning (once per process), not pass silently.
+        monkeypatch.setattr(blas, "_candidate_libraries", lambda: [])
+        # The CLI's log setup stops `repro` records at its own handler.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        blas._openblas.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=blas.logger.name):
+                assert blas.set_num_threads(1) is None
+                with blas.single_threaded():
+                    pass
+        finally:
+            blas._openblas.cache_clear()
+        warnings = [record for record in caplog.records
+                    if record.name == blas.logger.name
+                    and record.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "no OpenBLAS thread-count symbol" in warnings[0].getMessage()
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):

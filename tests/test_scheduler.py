@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.analysis import ExperimentScale
 from repro.analysis.experiments import build_environment
 from repro.cli import DEFAULT_SCHEDULE_SCALE, build_parser, main, resolve_schedule
@@ -240,17 +241,20 @@ class TestResultStore:
         assert len(result.runs[0].reward_history) == TINY.train_epochs + 3
 
     def test_engine_toggles_do_not_invalidate(self):
-        """lockstep/batched-eval are bit-identical engines, not key material."""
+        """Batched evaluation is a bit-identical engine, not key material."""
         from dataclasses import replace as dc_replace
         trainer = _trainer("fcc")
         base = context_fingerprint(trainer, "fcc")
         toggled = DesignTrainer(trainer.video, trainer.train_traces,
                                 trainer.test_traces,
                                 config=dc_replace(trainer.config,
-                                                  lockstep_training=False,
                                                   batched_evaluation=False),
                                 qoe=trainer.qoe)
         assert context_fingerprint(toggled, "fcc") == base
+        # The engine configuration is key material, field by field.
+        for change in ({"compile": False}, {"dtype": "float32"}):
+            with nn.engine.using(dc_replace(nn.engine.current(), **change)):
+                assert context_fingerprint(trainer, "fcc") != base
         # ...while a result-shaping field is key material.
         heavier = DesignTrainer(trainer.video, trainer.train_traces,
                                 trainer.test_traces,
@@ -297,26 +301,29 @@ class TestResultStore:
         assert store.hits == 0 and store.misses == 1
 
     def test_per_seed_split_matches_whole_batch(self):
-        """Fan-out splits non-lockstep jobs by seed without changing results."""
-        no_lockstep = ExperimentScale(
-            train_epochs=TINY.train_epochs,
-            checkpoint_interval=TINY.checkpoint_interval,
-            last_k_checkpoints=TINY.last_k_checkpoints,
-            num_seeds=TINY.num_seeds, dataset_scale=TINY.dataset_scale,
-            num_chunks=TINY.num_chunks, lockstep=False)
-        trainer = _trainer("fcc", no_lockstep)
+        """Fan-out splits non-lockstep jobs by seed without changing results.
+
+        Without the kernel compiler even the original Pensieve network
+        trains per seed, so its multi-seed job splits across two workers and
+        must reproduce the whole serial batch.
+        """
+        trainer = _trainer("fcc")
         job = EvaluationJob(trainer=trainer, state_design=None,
                             network_design=None, seeds=(0, 1),
                             environment="fcc")
-        assert CampaignScheduler()._splits_without_cost(job)
-        whole = CampaignScheduler(ParallelConfig(max_workers=1)).run([job])[0]
-        split = CampaignScheduler(ParallelConfig(max_workers=2)).run([job])[0]
+        assert not CampaignScheduler()._splits_without_cost(job)
+        with nn.engine.using(nn.EngineConfig(
+                dtype=nn.get_default_dtype(), compile=False)):
+            assert CampaignScheduler()._splits_without_cost(job)
+            whole = CampaignScheduler(
+                ParallelConfig(max_workers=1)).run([job])[0]
+            split = CampaignScheduler(
+                ParallelConfig(max_workers=2)).run([job])[0]
         assert split.score == whole.score
         _assert_same_runs(split.runs, whole.runs)
 
     def test_context_memoization_tracks_dtype(self):
         """A dtype switch between runs must not serve a stale fingerprint."""
-        from repro import nn
         trainer = _trainer("fcc")
         scheduler = CampaignScheduler()
         job = EvaluationJob(trainer=trainer, state_design=None,

@@ -330,21 +330,30 @@ class TestContractLinter:
         assert errors == [], "\n".join(f.render() for f in errors)
 
     def test_violations_are_detected(self, tmp_path):
-        # A synthetic source tree violating the RNG and picklability
-        # contracts; the linter must flag both.
+        # A synthetic source tree violating the RNG, picklability and
+        # store-key contracts; the linter must flag each.
         bad = tmp_path / "repro"
         (bad / "core").mkdir(parents=True)
         (bad / "core" / "busted.py").write_text(
             "import numpy as np\n"
-            "from .parallel import parallel_map\n\n\n"
+            "from .parallel import parallel_map\n\n"
+            "_TURBO = False\n\n\n"
             "def draw():\n"
             "    return np.random.rand(4)\n\n\n"
+            "def enable_turbo():\n"
+            "    global _TURBO\n"
+            "    _TURBO = True\n\n\n"
             "def fan_out(items):\n"
             "    def job(item):\n"
             "        return item + 1\n"
             "    np.random.seed(0)\n"
             "    parallel_map(job, items)\n"
             "    parallel_map(lambda item: item, items)\n")
+        # A key builder hashing one engine setting instead of the engine.
+        (bad / "core" / "results.py").write_text(
+            "from .. import nn\n\n\n"
+            "def context_fingerprint(trainer, environment=''):\n"
+            "    return str(nn.get_default_dtype())\n")
         findings = lint_repo(str(bad))
         rules = {f.rule for f in findings}
         assert "repo.rng-discipline" in rules
@@ -353,6 +362,35 @@ class TestContractLinter:
                         if f.rule == "repo.rng-discipline"]
         assert any("np.random.rand" in m for m in rng_messages)
         assert any("np.random.seed" in m for m in rng_messages)
+        key_messages = [f.message for f in findings
+                        if f.rule == "repo.store-key"]
+        assert any(m.startswith("module global '_TURBO' is written via "
+                                "`global` but is neither a field of the "
+                                "engine configuration") for m in key_messages)
+        assert any(m.startswith("context_fingerprint must key the engine "
+                                "through nn.engine.current().fingerprint()")
+                   for m in key_messages)
+        assert any(m.startswith("emulation/emulator.py no longer defines "
+                                "emulation_context_fingerprint")
+                   for m in key_messages)
+
+    def test_engine_fingerprint_must_read_every_field(self, tmp_path):
+        tree = tmp_path / "repro"
+        (tree / "nn").mkdir(parents=True)
+        (tree / "nn" / "engine.py").write_text(
+            "class EngineConfig:\n"
+            "    dtype: str = 'float64'\n"
+            "    compile: bool = True\n"
+            "    turbo: bool = False\n\n"
+            "    def fingerprint(self):\n"
+            "        return f'{self.dtype}|{self.compile}'.encode()\n")
+        messages = [f.message for f in lint_repo(str(tree))
+                    if f.rule == "repo.store-key"]
+        assert any(m.startswith("EngineConfig.turbo is not read by "
+                                "EngineConfig.fingerprint()")
+                   for m in messages)
+        assert not any("EngineConfig.dtype" in m or "EngineConfig.compile" in m
+                       for m in messages)
 
     def test_fault_coverage_all_declared_sites_are_tested(self):
         # Every site in FAULT_SITES must be named by at least one test; a
