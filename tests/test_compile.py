@@ -431,6 +431,55 @@ def test_mid_stack_conv_and_recurrent_propagate_input_gradients():
 
 
 # --------------------------------------------------------------------------- #
+# The engine configuration: one frozen value for every score-moving setting.
+# --------------------------------------------------------------------------- #
+def test_default_engine_is_float64_compiled():
+    default = nn.EngineConfig()
+    assert default.dtype == np.float64 and default.compile is True
+    assert nn.engine.current() == default
+    assert nn.get_default_dtype() == np.float64 and nn.compilation_enabled()
+    with pytest.raises(ValueError):
+        nn.EngineConfig(dtype="float16")
+
+
+def test_engine_config_normalises_fields_and_fingerprints_each_one():
+    import pickle
+
+    config = nn.EngineConfig(dtype="float32", compile=0)
+    assert config == nn.EngineConfig(dtype=np.float32, compile=False)
+    assert isinstance(config.dtype, np.dtype) and config.compile is False
+    assert hash(config) == hash(nn.EngineConfig(dtype=np.dtype("float32"),
+                                                compile=False))
+    assert pickle.loads(pickle.dumps(config)) == config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.compile = True
+    # Every field moves the store key on its own.
+    base = nn.EngineConfig().fingerprint()
+    assert nn.EngineConfig(dtype="float32").fingerprint() != base
+    assert nn.EngineConfig(compile=False).fingerprint() != base
+    assert nn.EngineConfig(dtype="float64", compile=True).fingerprint() == base
+
+
+def test_engine_setters_return_previous_and_using_restores(engine_guard):
+    assert nn.set_default_dtype("float32") == np.float64
+    assert nn.set_compilation(False) is True
+    assert nn.engine.current() == nn.EngineConfig(dtype="float32",
+                                                  compile=False)
+    assert nn.set_default_dtype("float64") == np.float32
+    before = nn.engine.current()
+    with pytest.raises(RuntimeError):
+        with nn.engine.using(nn.EngineConfig(dtype="float32")) as inside:
+            assert nn.engine.current() is inside
+            assert nn.tensor(np.ones(2)).numpy().dtype == np.float32
+            raise RuntimeError("boom")
+    assert nn.engine.current() is before
+    with nn.default_dtype("float32"):
+        assert nn.get_default_dtype() == np.float32
+        assert not nn.compilation_enabled()  # other fields are kept
+    assert nn.engine.current() is before
+
+
+# --------------------------------------------------------------------------- #
 # Scheduler planner dedupe (satellite).
 # --------------------------------------------------------------------------- #
 def test_identical_jobs_collapse_to_one_execution(env_setup, monkeypatch):
