@@ -19,9 +19,10 @@
 #                         torn and a lease is contended -- the run must heal
 #                         (exit 0, zero quarantined) purely via retries
 #   make dist-smoke     - the tiny campaign over `--backend remote` (a TCP
-#                         coordinator + 2 pulled-worker subprocesses) under an
-#                         rpc chaos plan (worker crash, connection drop, torn
-#                         store write): must exit 0 with zero quarantined jobs
+#                         coordinator + 2 pulled-worker subprocesses) under a
+#                         chaos plan (worker crash, connection drop, job
+#                         timeout, torn store write): must exit 0 with zero
+#                         quarantined jobs
 #                         and a store record-for-record identical to the
 #                         serial reference run
 
@@ -136,13 +137,14 @@ chaos-smoke:
 
 # Distributed smoke: the tiny two-environment campaign once serially (the
 # reference), then over `--backend remote` -- a TCP coordinator feeding two
-# pulled-worker subprocesses -- with the rpc chaos plan armed: one worker is
-# crashed outright mid-job, another drops its coordinator connection, and a
-# store write is torn.  The remote run must exit 0 with zero quarantined
-# jobs, its store must be record-for-record identical to the serial
-# reference (the exactly-once + bit-identity acceptance gate), and the
-# telemetry report must show the faults actually fired (workers lost,
-# requeues) and that the coordinator never fell back to local execution.
+# pulled-worker subprocesses -- with the chaos plan armed: one worker is
+# crashed outright mid-job, another drops its coordinator connection, a job
+# hangs past --job-timeout (its worker is killed and replaced), and a store
+# write is torn.  The remote run must exit 0 with zero quarantined jobs, its
+# store must be record-for-record identical to the serial reference (the
+# exactly-once + bit-identity acceptance gate), and the telemetry report
+# must show the faults actually fired (workers lost, requeues, a job
+# timeout) and that the coordinator never fell back to local execution.
 dist-smoke:
 	rm -rf .dist-smoke-serial .dist-smoke-remote .dist-smoke-telemetry
 	$(PYTHON) -m repro campaign --environments fcc starlink --num-designs 2 \
@@ -153,7 +155,8 @@ dist-smoke:
 	    --dataset-scale 0.02 --num-chunks 6 --train-epochs 6 \
 	    --checkpoint-interval 2 --num-seeds 1 --no-early-stopping \
 	    --backend remote --remote-workers 2 --max-retries 3 \
-	    --faults "rpc.worker_crash:fcc|state:1,rpc.conn_drop:starlink|original:1,store.torn_write:*:1" \
+	    --job-timeout 5 \
+	    --faults "job.crash:fcc|state:1,rpc.conn_drop:starlink|original:1,job.timeout:starlink|state:1:60,store.torn_write:*:1" \
 	    --store .dist-smoke-remote --telemetry .dist-smoke-telemetry
 	$(PYTHON) -c "import json, os; \
 	    snap = lambda root: {os.path.relpath(os.path.join(dp, f), root): json.load(open(os.path.join(dp, f))) for dp, _, fs in os.walk(root) for f in fs if f.endswith('.json')}; \
@@ -169,6 +172,7 @@ dist-smoke:
 	    assert d['workers_lost'] > 0, 'rpc chaos never cost a worker'; \
 	    assert d['requeues'] > 0, 'no job was ever requeued'; \
 	    assert d['local_fallbacks'] == 0, 'coordinator degraded to local'; \
+	    assert f['job_timeouts'] > 0, 'the job timeout never fired'; \
 	    assert f['quarantined'] == 0, 'dist chaos run lost jobs'; \
 	    assert f['torn_writes'] > 0, 'torn-write site never fired'; \
 	    print('dist smoke OK: remote chaos healed, exactly-once held')"

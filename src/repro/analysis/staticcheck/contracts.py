@@ -25,9 +25,9 @@ fail-the-build job.
     allowlist must name real ``EvaluationConfig`` fields.  Adding a field
     or toggle without updating the classification fails the build.
 ``repo.picklability``
-    Everything submitted to :func:`~repro.core.parallel.parallel_map` /
-    :func:`~repro.core.parallel.run_resilient` must survive pickling:
-    no lambdas, no functions defined inside another function (PR 7's
+    Everything submitted to :func:`~repro.core.parallel.run_resilient`
+    must survive pickling to reach a worker process: no lambdas, no
+    functions defined inside another function (PR 7's
     silent serial-downgrade came from exactly this).
 ``repo.telemetry-noop``
     The module-level telemetry helpers (``span``/``counter``/``series``)
@@ -81,6 +81,8 @@ _TOGGLE_EXEMPT: Dict[str, str] = {
     "_ACTIVE": "telemetry sink; observability only, no numeric effect",
     "_PLAN": "fault-injection harness; causes retries/reschedules but "
              "never alters a successfully stored result payload",
+    "_IN_WORKER": "marks an executor worker so job.crash kills it; decides "
+                  "where a fault lands, never a stored result payload",
 }
 
 #: NadaConfig fields that are store-key material (hashed, directly or via
@@ -317,7 +319,7 @@ def _check_store_keys(root: Path,
 # --------------------------------------------------------------------------- #
 # repo.picklability
 # --------------------------------------------------------------------------- #
-_POOL_ENTRY_POINTS = ("parallel_map", "run_resilient")
+_POOL_ENTRY_POINTS = ("run_resilient",)
 
 
 def _nested_function_names(tree: ast.Module) -> Set[str]:
@@ -344,8 +346,8 @@ def _nested_function_names(tree: ast.Module) -> Set[str]:
 def _check_picklability(path: Path, tree: ast.Module,
                         root: Path) -> List[AuditFinding]:
     if path.name == "parallel.py":
-        # The pool implementation itself wraps callables locally before
-        # hand-off; its own internals are exercised by the tier-1 tests.
+        # The executor's own module; its internals are exercised by the
+        # tier-1 tests.
         return []
     findings = []
     nested = _nested_function_names(tree)

@@ -188,9 +188,11 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "and exits non-zero")
     parser.add_argument("--job-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
-                        help="kill and retry a job running longer than this "
-                             "inside a pool worker (only enforced with "
-                             "--workers > 1)")
+                        help="revoke and retry a job whose worker has held "
+                             "it longer than this, replacing the worker when "
+                             "the campaign launched it; enforced with "
+                             "--workers > 1 and with --backend remote (a "
+                             "serial in-process job cannot be preempted)")
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="inject deterministic faults for resilience "
                              "testing: comma-separated "
@@ -198,13 +200,14 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "optional 'seed=N' (sites: job.exception, "
                              "job.crash, job.timeout, job.interrupt, "
                              "store.torn_write, store.lease_hold, "
-                             "rpc.worker_crash, rpc.conn_drop, "
-                             "rpc.heartbeat_loss, rpc.result_delay)")
+                             "rpc.conn_drop, rpc.heartbeat_loss, "
+                             "rpc.result_delay)")
     parser.add_argument("--backend", choices=["local", "remote"],
                         default="local",
-                        help="job execution transport: 'local' (the in-"
-                             "process pool behind --workers) or 'remote' "
-                             "(a TCP coordinator serving pulled jobs to "
+                        help="job execution transport: 'local' (--workers "
+                             "processes forked per batch onto a loopback "
+                             "coordinator) or 'remote' (one TCP coordinator "
+                             "for the campaign serving pulled jobs to "
                              "'repro worker' subprocesses with heartbeats "
                              "and work-stealing)")
     parser.add_argument("--remote-workers", type=int, default=2,
@@ -455,10 +458,11 @@ def _build_remote_scheduler(args: argparse.Namespace,
                                        Optional[RemoteExecutor]]:
     """The (scheduler, executor) pair for ``--backend remote``, else Nones.
 
-    Mirrors the :class:`ParallelConfig` the pipeline would build itself, so
-    retry/backoff/timeout semantics are identical across backends; the
-    executor's worker subprocesses are launched immediately so they connect
-    while designs are still being generated.
+    Mirrors the :class:`ParallelConfig` the pipeline would build itself.
+    Local fan-out runs on the same coordinator, so retries, backoff and the
+    ``--job-timeout`` assignment deadline behave identically on both
+    backends.  The executor's worker subprocesses are launched immediately
+    so they connect while designs are still being generated.
     """
     if getattr(args, "backend", "local") != "remote":
         return None, None

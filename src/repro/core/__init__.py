@@ -39,7 +39,7 @@ from .faults import (FaultPlan, FaultRule, InjectedFault, clear_plan,
                      inject, install_plan)
 from .generation import DesignGenerator, GenerationConfig
 from .parallel import (ParallelConfig, TaskOutcome, effective_workers,
-                       parallel_map, run_resilient)
+                       run_resilient)
 from .pipeline import (CampaignResult, NadaCampaign, NadaConfig, NadaPipeline,
                        NadaResult)
 from .results import (Lease, ResultStore, context_fingerprint,
@@ -97,7 +97,7 @@ __all__ = [
     "EvaluationConfig", "TrainingRun", "instantiate_agent", "DesignTrainer",
     "TestScoreProtocol",
     # parallel
-    "ParallelConfig", "TaskOutcome", "parallel_map", "run_resilient",
+    "ParallelConfig", "TaskOutcome", "run_resilient",
     "effective_workers",
     # faults
     "FaultPlan", "FaultRule", "InjectedFault", "install_plan", "clear_plan",

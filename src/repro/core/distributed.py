@@ -1,12 +1,14 @@
-"""Distributed campaign transport: pull-based remote workers over TCP.
+"""The coordinator/worker executor: pull-based workers over TCP.
 
-PR 7 landed the *coordination* half of multi-host campaigns — verified-CAS
-:class:`~repro.core.results.ResultStore` puts and ``pid@host`` leases make N
-processes sharing one store execute each (context, design, seed) exactly
-once.  This module is the *transport* half: a coordinator/worker executor
-that plugs in behind :meth:`CampaignScheduler.run` (``--backend remote``)
-so the processes doing the work no longer need to share a filesystem-level
-scheduler at all — they pull jobs over a socket.
+Every multi-worker batch runs here.  ``--backend remote`` keeps one
+:class:`RemoteExecutor` for the whole campaign and launches
+``repro worker --connect host:port`` subprocesses (more can join from other
+hosts); :func:`~repro.core.parallel.run_resilient` with more than one worker
+opens a loopback coordinator per batch whose workers are forked from the
+calling process (:meth:`RemoteExecutor.local`).  Both drive the same
+per-item :class:`~repro.core.parallel.Ledger`, so serial, local and remote
+batches share one failure model.  :class:`~repro.core.results.ResultStore`
+puts and ``pid@host`` leases keep the persisted records exactly-once on top.
 
 Protocol (JSON lines over TCP, one message per line)::
 
@@ -21,42 +23,46 @@ Protocol (JSON lines over TCP, one message per line)::
     worker → coordinator   RESULT    {job, epoch, ok, payload | error}
     worker → coordinator   BYE       {}
 
-Payloads are pickled and base64-armoured — workers are subprocesses this
-process launched (``repro worker --connect host:port``), not an untrusted
-surface.  Jobs are *pulled*: a fast worker simply leases more often, which
-is work-stealing with no extra machinery.  Results are slotted back into
-submission order, so the scheduler's order-preserving telemetry merge (the
-PR 6 contract: serial and N-worker event streams identical modulo
-timestamps/pids) holds regardless of network arrival order.
+Payloads are pickled and base64-armoured — workers are processes this
+process started (or an operator pointed at it), not an untrusted surface.
+Jobs are *pulled*: a fast worker simply leases more often, which is
+work-stealing with no extra machinery.  Results are slotted back into
+submission order, so the scheduler's order-preserving telemetry merge
+(serial and N-worker event streams identical modulo timestamps/pids) holds
+regardless of network arrival order.
 
 Failure semantics — every path is injectable via :mod:`repro.core.faults`
-(``rpc.conn_drop``, ``rpc.worker_crash``, ``rpc.heartbeat_loss``,
+(``job.crash``, ``job.timeout``, ``rpc.conn_drop``, ``rpc.heartbeat_loss``,
 ``rpc.result_delay``):
 
 * A worker whose connection drops or whose process dies has its in-flight
   job requeued, charged one attempt under the usual retry/backoff budget.
-* A worker that stops heartbeating past ``heartbeat_timeout_s`` is treated
-  as dead: its assignment is revoked and requeued, but the socket is left
-  open — if the worker was merely wedged, its eventual stale RESULT arrives
-  carrying the *old* assignment epoch and is **fenced** (counted, dropped),
-  never merged.  Exactly-once of the persisted record is enforced a second
-  time at the store: :meth:`ResultStore.put_run` drops a put whose lease
-  was stolen while the job was away (lease epochs, ``fenced_puts``).
-* Worker subprocesses that exit are respawned (up to
-  ``max_respawns``) while work remains.
+* An assignment that outlives ``job_timeout``, or whose worker stops
+  heartbeating past ``heartbeat_timeout_s``, is revoked and charged.  The
+  socket of a silent worker is left open — if it was merely wedged, its
+  eventual stale RESULT arrives carrying the *old* assignment epoch and is
+  **fenced** (counted, dropped), never merged.  A timed-out worker this
+  executor launched is terminated and replaced.  Exactly-once of the
+  persisted record is enforced a second time at the store:
+  :meth:`ResultStore.put_run` drops a put whose lease was stolen while the
+  job was away (lease epochs, ``fenced_puts``).
+* Worker processes that exit are respawned (up to ``max_respawns``) while
+  work remains.
 * If the worker pool empties and nobody reconnects within
   ``worker_deadline_s``, the batch degrades per ``fallback``: ``"local"``
-  executes the unfinished items in-process (carrying over their attempt
-  counts), ``"fail"`` raises :class:`NoWorkersError` so the campaign exits
-  with a resume-from-store message instead of hanging.
+  finishes the unfinished items in-process on the same ledger (attempt
+  counts carry over), ``"fail"`` raises :class:`NoWorkersError` so the
+  campaign exits with a resume-from-store message instead of hanging.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import multiprocessing
 import os
 import pickle
+import signal
 import socket
 import subprocess
 import sys
@@ -64,11 +70,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, IO, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..log import get_logger
 from . import faults, telemetry
-from .parallel import ParallelConfig, TaskOutcome, run_resilient
+from .parallel import Ledger, ParallelConfig, TaskOutcome, run_serial
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -104,12 +111,14 @@ class RemoteConfig:
             fenced.
         worker_deadline_s: How long the coordinator tolerates an *empty*
             worker pool mid-batch before degrading per ``fallback``.
-        poll_interval_s: Coordinator supervision-loop tick.
+        poll_interval_s: Longest sleep of the supervision loop; it also
+            wakes whenever a result or failure lands.
         idle_retry_s: How long an idle worker waits between LEASE polls.
         fallback: ``"local"`` finishes an abandoned batch in-process;
             ``"fail"`` raises :class:`NoWorkersError` instead.
-        max_respawns: Worker subprocesses respawned after unexpected exits
-            (crashed workers count) before the pool is allowed to shrink.
+        max_respawns: Worker processes respawned after unexpected exits
+            (crashed or timed-out workers count) before the pool is allowed
+            to shrink.
     """
 
     host: str = "127.0.0.1"
@@ -187,47 +196,109 @@ class _WorkerConn:
 
 
 class _Batch:
-    """One :meth:`RemoteExecutor.run` call's shared dispatch state."""
+    """Transport state of one dispatched :class:`Ledger`."""
 
-    def __init__(self, fn: Callable[..., Any], items: List[Any],
-                 config: ParallelConfig) -> None:
-        self.fn = fn
-        self.items = items
-        self.config = config
-        self.outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        self.failures = [0] * len(items)
-        self.ready_at = [0.0] * len(items)
-        self.epochs = [0] * len(items)
-        self.queue: List[int] = list(range(len(items)))
-        #: index -> (worker name, assignment epoch) for in-flight jobs.
-        self.running: Dict[int, Tuple[str, int]] = {}
+    def __init__(self, ledger: Ledger) -> None:
+        self.ledger = ledger
+        self.epochs = [0] * len(ledger.items)
+        #: index -> (worker name, assignment epoch, dispatch time).
+        self.running: Dict[int, Tuple[str, int, float]] = {}
         self.dispatched = 0
         self.fenced = 0
         self.requeued = 0
         self.heartbeat_timeouts = 0
+        self.job_timeouts = 0
         self.fallback_local = 0
-        #: Indices in RESULT-acceptance order (tests assert arrival shuffles
-        #: do not leak into the submission-order merge).
-        self.result_order: List[int] = []
 
-    def done(self) -> bool:
-        return all(outcome is not None for outcome in self.outcomes)
+    def stats(self) -> Dict[str, Any]:
+        return {"dispatched": self.dispatched, "requeued": self.requeued,
+                "fenced": self.fenced,
+                "heartbeat_timeouts": self.heartbeat_timeouts,
+                "job_timeouts": self.job_timeouts,
+                "fallback_local": self.fallback_local,
+                #: Indices in acceptance order (tests assert arrival
+                #: shuffles do not leak into the submission-order merge).
+                "result_order": list(self.ledger.finished)}
+
+
+class _ForkedWorker:
+    """``subprocess.Popen``-style handle on a multiprocessing worker."""
+
+    def __init__(self, process: Any) -> None:
+        self.process = process
+        self.pid = process.pid
+
+    def poll(self) -> Optional[int]:
+        return self.process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        self.process.join(timeout)
+        if self.process.exitcode is None:
+            raise subprocess.TimeoutExpired("repro worker", timeout)
+        return self.process.exitcode
+
+    def terminate(self) -> None:
+        self.process.terminate()
+
+    def kill(self) -> None:
+        self.process.kill()
+
+
+def _local_worker_main(host: str, port: int, server: socket.socket) -> None:
+    """Entry point of a forked local worker."""
+    # The coordinator's listening socket came along with the fork; a copy
+    # left open here would keep accepting connections nobody serves.
+    server.close()
+    # The parent owns shutdown (and may have installed the scheduler's
+    # handlers before forking): ^C drains through the coordinator, and a
+    # timed-out worker must die on SIGTERM.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Jobs record into their own capture sinks; the inherited parent sink
+    # is not this process's to write.
+    telemetry.set_telemetry(None)
+    sys.exit(run_worker(host, port))
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
+def _worker_env(paths: Sequence[str]) -> Dict[str, str]:
+    """This environment with ``paths`` in front of ``PYTHONPATH``."""
+    env = dict(os.environ)
+    paths = list(paths)
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
 
 
 class RemoteExecutor:
-    """Coordinator: serves pulled jobs to ``repro worker`` subprocesses.
+    """Coordinator: serves pulled jobs to worker processes.
 
     Duck-types the one method the scheduler needs —
     ``run(fn, items, config, should_stop=None, heartbeat=None)`` returning
     submission-ordered :class:`TaskOutcome`s — so it drops in where
-    :func:`run_resilient` runs today.
+    :func:`~repro.core.parallel.run_resilient` runs.
+
+    ``local_workers`` forks that many workers from this process before the
+    coordinator starts any thread (see :meth:`local`).
     """
 
-    def __init__(self, config: Optional[RemoteConfig] = None) -> None:
+    def __init__(self, config: Optional[RemoteConfig] = None,
+                 local_workers: int = 0) -> None:
         self.config = config or RemoteConfig()
         self._lock = threading.Lock()
+        #: Set whenever an item lands or fails, so supervision wakes at once.
+        self._wake = threading.Event()
         self._workers: Dict[str, _WorkerConn] = {}
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[Any] = []
+        self._conns: Set[socket.socket] = set()
+        self._threads: List[threading.Thread] = []
         self._worker_cmd: Optional[List[str]] = None
         self._worker_env: Optional[Dict[str, str]] = None
         self._batch: Optional[_Batch] = None
@@ -241,14 +312,36 @@ class RemoteExecutor:
         self.workers_lost = 0
         self.workers_respawned = 0
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((self.config.host, self.config.port))
-        self._server.listen(64)
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True,
-                                               name="repro-rpc-accept")
-        self._accept_thread.start()
+        try:
+            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._server.bind((self.config.host, self.config.port))
+            self._server.listen(64)
+            if local_workers:
+                self._fork_workers(local_workers)
+        except BaseException:
+            self._closed = True
+            self._stop_procs(time.monotonic())
+            self._server.close()
+            raise
+        self._accept_thread = self._start_thread(self._accept_loop,
+                                                 "repro-rpc-accept")
         logger.info("coordinator listening on %s:%d", *self.address)
+
+    @classmethod
+    def local(cls, workers: int, ledger: Ledger) -> "RemoteExecutor":
+        """A loopback coordinator with ``workers`` forked local workers.
+
+        Workers come from the platform-default multiprocessing context, so
+        under ``fork`` they inherit every imported module.  Every charged
+        attempt costs at most one worker, which bounds the respawns the
+        batch can need; respawned workers start as ``repro worker``
+        subprocesses on this process's import path, because forking once
+        the coordinator's threads run could copy a held lock.
+        """
+        retries = ledger.config.max_retries + 1
+        return cls(RemoteConfig(idle_retry_s=0.02,
+                                max_respawns=len(ledger.items) * retries),
+                   local_workers=workers)
 
     # ------------------------------------------------------------------ #
     @property
@@ -260,8 +353,17 @@ class RemoteExecutor:
         with self._lock:
             return len(self._workers)
 
+    def _start_thread(self, target: Callable[..., None], name: str,
+                      *args: Any) -> threading.Thread:
+        thread = threading.Thread(target=target, args=args, daemon=True,
+                                  name=name)
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
+        thread.start()
+        return thread
+
     # ------------------------------------------------------------------ #
-    # Worker subprocess lifecycle.
+    # Worker process lifecycle.
     # ------------------------------------------------------------------ #
     def launch_workers(self, count: int,
                        extra_path: Optional[str] = None) -> None:
@@ -270,22 +372,31 @@ class RemoteExecutor:
         ``extra_path`` is appended to the workers' ``PYTHONPATH`` (tests use
         it so functions defined in a test module unpickle worker-side).
         """
-        host, port = self.address
         src_root = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        paths = [src_root]
-        if extra_path:
-            paths.append(str(extra_path))
-        if env.get("PYTHONPATH"):
-            paths.append(env["PYTHONPATH"])
-        env["PYTHONPATH"] = os.pathsep.join(paths)
+        self._set_worker_cmd([src_root] + ([str(extra_path)]
+                                           if extra_path else []))
+        for _ in range(count):
+            self._procs.append(subprocess.Popen(self._worker_cmd,
+                                                env=self._worker_env))
+        logger.info("launched %d worker subprocess(es) against %s:%d",
+                    count, *self.address)
+
+    def _set_worker_cmd(self, paths: Sequence[str]) -> None:
+        host, port = self.address
         self._worker_cmd = [sys.executable, "-m", "repro", "worker",
                             "--connect", f"{host}:{port}", "--quiet"]
-        self._worker_env = env
+        self._worker_env = _worker_env(paths)
+
+    def _fork_workers(self, count: int) -> None:
+        context = multiprocessing.get_context()
+        host, port = self.address
         for _ in range(count):
-            self._procs.append(subprocess.Popen(self._worker_cmd, env=env))
-        logger.info("launched %d worker subprocess(es) against %s:%d",
-                    count, host, port)
+            process = context.Process(target=_local_worker_main,
+                                      args=(host, port, self._server),
+                                      name="repro-worker")
+            process.start()
+            self._procs.append(_ForkedWorker(process))
+        self._set_worker_cmd([path for path in sys.path if path])
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` workers completed HELLO, or timeout."""
@@ -297,18 +408,19 @@ class RemoteExecutor:
         return self.worker_count() >= count
 
     def _reap_and_respawn(self) -> None:
-        """Restart worker subprocesses that exited while work remains."""
+        """Restart worker processes that exited while work remains."""
         exited = [proc for proc in self._procs if proc.poll() is not None]
         if not exited:
             return
         for proc in exited:
             self._procs.remove(proc)
-            logger.warning("worker subprocess pid %d exited with code %s",
-                           proc.pid, proc.returncode)
+            logger.warning("worker process pid %d exited with code %s",
+                           proc.pid, proc.poll())
         if self._closed or self._worker_cmd is None:
             return
         with self._lock:
-            work_remains = self._batch is not None and not self._batch.done()
+            work_remains = (self._batch is not None
+                            and not self._batch.ledger.done())
         if not work_remains:
             return
         for _ in exited:
@@ -320,8 +432,29 @@ class RemoteExecutor:
                                                 env=self._worker_env))
             self.workers_respawned += 1
             telemetry.counter("rpc.worker_respawned")
-            logger.info("respawned a worker subprocess (%d respawn(s) left)",
+            logger.info("respawned a worker process (%d respawn(s) left)",
                         self._respawns_left)
+
+    def _launched(self, name: str) -> Optional[Any]:
+        """The process handle behind worker ``name`` if we started it."""
+        pid, _, host = name.partition("@")
+        if host.split("#", 1)[0] != socket.gethostname() or not pid.isdigit():
+            return None
+        return next((proc for proc in self._procs if proc.pid == int(pid)),
+                    None)
+
+    def _stop_procs(self, deadline: float) -> None:
+        for proc in self._procs:
+            remaining = max(deadline - time.monotonic(), 0.1)
+            try:
+                proc.wait(timeout=remaining)
+            except subprocess.TimeoutExpired:
+                proc.terminate()
+                try:
+                    proc.wait(timeout=2.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+        self._procs.clear()
 
     # ------------------------------------------------------------------ #
     # Connection handling (one thread per worker).
@@ -331,9 +464,11 @@ class RemoteExecutor:
             try:
                 conn, _ = self._server.accept()
             except OSError:
-                return  # server socket closed
-            threading.Thread(target=self._serve_conn, args=(conn,),
-                             daemon=True, name="repro-rpc-worker").start()
+                return  # server socket shut down
+            # A worker dialing in after close() began is served a BYE.
+            with self._lock:
+                self._conns.add(conn)
+                self._start_thread(self._serve_conn, "repro-rpc-worker", conn)
 
     def _serve_conn(self, conn: socket.socket) -> None:
         rfile = conn.makefile("r", encoding="utf-8", newline="\n")
@@ -383,6 +518,8 @@ class RemoteExecutor:
             pass  # dropped/garbled connection: cleanup below requeues
         finally:
             self._drop_worker(worker)
+            with self._lock:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:
@@ -390,35 +527,41 @@ class RemoteExecutor:
 
     def _next_job(self, worker: _WorkerConn) -> Dict[str, Any]:
         with self._lock:
-            if self._closed:
+            if self._closed or not worker.alive:
                 return {"type": "BYE"}
             batch = self._batch
+            retry = self.config.idle_retry_s
+            if batch is None:
+                return {"type": "IDLE", "retry_s": retry}
+            ledger = batch.ledger
             now = time.monotonic()
-            if batch is not None:
-                for slot, index in enumerate(batch.queue):
-                    if batch.ready_at[index] <= now:
-                        batch.queue.pop(slot)
-                        batch.epochs[index] += 1
-                        epoch = batch.epochs[index]
-                        batch.running[index] = (worker.name, epoch)
-                        batch.dispatched += 1
-                        payload = _encode((batch.fn, batch.items[index]))
-                        telemetry.counter("rpc.job_dispatched")
-                        telemetry.counter("rpc.job_bytes", len(payload))
-                        return {
-                            "type": "JOB",
-                            "job": index,
-                            "epoch": epoch,
-                            "attempt": batch.failures[index],
-                            "key": _item_fault_key(batch.items[index], index),
-                            "payload": payload,
-                        }
-                retry = self.config.idle_retry_s
-                if batch.queue:
-                    soonest = min(batch.ready_at[i] for i in batch.queue)
-                    retry = min(max(soonest - now, 0.01), retry)
-            else:
-                retry = self.config.idle_retry_s
+            while True:
+                index = ledger.take_ready(now)
+                if index is None:
+                    break
+                try:
+                    payload = _encode((ledger.fn, ledger.items[index]))
+                except Exception as exc:  # noqa: BLE001 - unpicklable item
+                    ledger.charge(index, f"unpicklable work item: {exc!r}")
+                    self._wake.set()
+                    continue
+                batch.epochs[index] += 1
+                epoch = batch.epochs[index]
+                batch.running[index] = (worker.name, epoch, now)
+                batch.dispatched += 1
+                telemetry.counter("rpc.job_dispatched")
+                telemetry.counter("rpc.job_bytes", len(payload))
+                return {
+                    "type": "JOB",
+                    "job": index,
+                    "epoch": epoch,
+                    "attempt": ledger.failures[index],
+                    "key": _item_fault_key(ledger.items[index], index),
+                    "payload": payload,
+                }
+            soonest = ledger.next_ready_at()
+            if soonest is not None:
+                retry = min(max(soonest - now, 0.01), retry)
         return {"type": "IDLE", "retry_s": retry}
 
     def _take_result(self, worker: _WorkerConn,
@@ -427,8 +570,8 @@ class RemoteExecutor:
             batch = self._batch
             index = int(message.get("job", -1))
             epoch = int(message.get("epoch", -1))
-            if (batch is None or not 0 <= index < len(batch.items)
-                    or batch.running.get(index) != (worker.name, epoch)):
+            if (batch is None or index not in batch.running
+                    or batch.running[index][:2] != (worker.name, epoch)):
                 if batch is not None:
                     batch.fenced += 1
                 telemetry.counter("rpc.result_fenced")
@@ -438,97 +581,92 @@ class RemoteExecutor:
                     index, epoch, worker.name)
                 return
             batch.running.pop(index)
-            if message.get("ok"):
-                try:
-                    value = _decode(message["payload"])
-                except Exception as exc:  # noqa: BLE001 - corrupt payload
-                    self._charge_locked(batch, index,
-                                        f"undecodable RESULT payload: {exc!r}")
-                    return
-                batch.outcomes[index] = TaskOutcome(
-                    value=value, attempts=batch.failures[index] + 1)
-                batch.result_order.append(index)
-                telemetry.counter("rpc.result")
-                telemetry.counter("rpc.result_bytes", len(message["payload"]))
-            else:
-                self._charge_locked(batch, index,
-                                    str(message.get("error")
-                                        or "remote execution failed"))
+            self._wake.set()
+            if not message.get("ok"):
+                batch.ledger.charge(index, str(message.get("error")
+                                               or "remote execution failed"))
+                return
+            try:
+                value = _decode(message["payload"])
+            except Exception as exc:  # noqa: BLE001 - corrupt payload
+                batch.ledger.charge(index,
+                                    f"undecodable RESULT payload: {exc!r}")
+                return
+            batch.ledger.succeed(index, value)
+            telemetry.counter("rpc.result")
+            telemetry.counter("rpc.result_bytes", len(message["payload"]))
 
-    def _charge_locked(self, batch: _Batch, index: int, error: str) -> None:
-        """Charge one failure to ``index``; requeue or quarantine.
-
-        Caller holds ``self._lock``.
-        """
-        batch.failures[index] += 1
-        attempts = batch.failures[index]
-        logger.warning("remote work item %d failed (attempt %d/%d): %s",
-                       index, attempts, batch.config.max_retries + 1, error)
-        if attempts > batch.config.max_retries:
-            batch.outcomes[index] = TaskOutcome(status="quarantined",
-                                                attempts=attempts,
-                                                error=error)
-            batch.result_order.append(index)
-        else:
-            batch.ready_at[index] = (time.monotonic()
-                                     + batch.config.backoff_s(attempts))
-            batch.queue.append(index)
-            batch.queue.sort()
+    def _revoke_locked(self, batch: _Batch, index: int, error: str) -> None:
+        """Take ``index`` off its worker and charge it.  Holds ``_lock``."""
+        batch.running.pop(index)
+        batch.requeued += 1
+        telemetry.counter("rpc.requeued")
+        batch.ledger.charge(index, error)
+        self._wake.set()
 
     def _drop_worker(self, worker: Optional[_WorkerConn]) -> None:
         if worker is None:
             return
         with self._lock:
-            if not worker.alive:
+            if not self._drop_worker_locked(worker):
                 return
-            worker.alive = False
-            self._workers.pop(worker.name, None)
-            self.workers_lost += 1
-            batch = self._batch
-            if batch is not None:
-                for index, (name, _) in list(batch.running.items()):
-                    if name != worker.name:
-                        continue
-                    batch.running.pop(index)
-                    batch.requeued += 1
-                    telemetry.counter("rpc.requeued")
-                    self._charge_locked(
-                        batch, index,
-                        f"worker {worker.name} lost mid-job "
-                        "(connection dropped or process died)")
-        telemetry.counter("rpc.worker_lost")
         if self._closed:
             logger.info("worker %s disconnected at shutdown", worker.name)
         else:
             logger.warning("worker %s lost", worker.name)
 
-    def _check_heartbeats(self) -> None:
-        """Revoke assignments whose worker went silent; leave sockets open.
+    def _drop_worker_locked(self, worker: _WorkerConn) -> bool:
+        if not worker.alive:
+            return False
+        worker.alive = False
+        self._workers.pop(worker.name, None)
+        self.workers_lost += 1
+        telemetry.counter("rpc.worker_lost")
+        batch = self._batch
+        if batch is not None:
+            for index, (name, _, _) in list(batch.running.items()):
+                if name == worker.name:
+                    self._revoke_locked(
+                        batch, index, f"worker {worker.name} lost mid-job "
+                                      "(connection dropped or process died)")
+        return True
 
-        A merely-wedged worker will eventually send a RESULT carrying the
-        revoked epoch — that is the fencing path, and we *want* the message
-        to arrive so it can be counted and dropped rather than racing a
-        re-execution.
+    def _check_deadlines(self, batch: _Batch) -> None:
+        """Revoke assignments past ``job_timeout`` or heartbeat silence.
+
+        A silent worker keeps its socket: if it was merely wedged, its
+        eventual RESULT carries the revoked epoch and is fenced rather than
+        racing the re-execution.  A timed-out worker this executor launched
+        is terminated instead (and respawned by the supervision loop).
         """
-        timeout = self.config.heartbeat_timeout_s
+        job_timeout = batch.ledger.config.job_timeout
+        silence = self.config.heartbeat_timeout_s
         now = time.monotonic()
         with self._lock:
-            batch = self._batch
-            if batch is None:
-                return
-            for index, (name, _) in list(batch.running.items()):
+            for index, (name, _, started) in list(batch.running.items()):
                 worker = self._workers.get(name)
-                if worker is None or now - worker.last_seen <= timeout:
-                    continue
-                batch.running.pop(index)
-                batch.heartbeat_timeouts += 1
-                batch.requeued += 1
-                telemetry.counter("rpc.heartbeat_timeout")
-                telemetry.counter("rpc.requeued")
-                self._charge_locked(
-                    batch, index,
-                    f"worker {name} missed heartbeats for "
-                    f"{now - worker.last_seen:.1f}s (deadline {timeout:.1f}s)")
+                if job_timeout is not None and now - started > job_timeout:
+                    batch.job_timeouts += 1
+                    telemetry.counter("rpc.job_timeout")
+                    self._revoke_locked(
+                        batch, index,
+                        f"TimeoutError: job exceeded {job_timeout:.1f}s")
+                    proc = self._launched(name)
+                    if proc is not None:
+                        # Retire the worker before it can lease again, then
+                        # kill it; the connection drop finds nothing to
+                        # charge.
+                        if worker is not None:
+                            self._drop_worker_locked(worker)
+                        proc.terminate()
+                elif worker is not None and now - worker.last_seen > silence:
+                    batch.heartbeat_timeouts += 1
+                    telemetry.counter("rpc.heartbeat_timeout")
+                    self._revoke_locked(
+                        batch, index,
+                        f"worker {name} missed heartbeats for "
+                        f"{now - worker.last_seen:.1f}s "
+                        f"(deadline {silence:.1f}s)")
 
     # ------------------------------------------------------------------ #
     # Batch execution.
@@ -541,19 +679,22 @@ class RemoteExecutor:
         """Execute ``fn(item, attempt)`` for every item on the worker fleet.
 
         Blocks until every item has a terminal :class:`TaskOutcome` (ok /
-        quarantined / interrupted), supervising heartbeats, respawns and
+        quarantined / interrupted), supervising deadlines, respawns and
         pool-empty degradation from the calling thread.  ``heartbeat`` (the
         scheduler's store-lease refresher) is invoked on every supervision
         tick, so leases held for remote jobs stay visibly alive.
         """
-        config = config or ParallelConfig()
-        items = list(items)
-        if not items:
-            self.last_stats = {"dispatched": 0, "requeued": 0, "fenced": 0,
-                               "heartbeat_timeouts": 0, "fallback_local": 0,
-                               "result_order": []}
+        return self._dispatch(Ledger(fn, items, config or ParallelConfig()),
+                              should_stop, heartbeat)
+
+    def _dispatch(self, ledger: Ledger,
+                  should_stop: Optional[Callable[[], bool]],
+                  heartbeat: Optional[Callable[[], None]],
+                  ) -> List[TaskOutcome]:
+        batch = _Batch(ledger)
+        if not ledger.items:
+            self.last_stats = batch.stats()
             return []
-        batch = _Batch(fn, items, config)
         with self._lock:
             if self._batch is not None:
                 raise RuntimeError("RemoteExecutor.run is not reentrant")
@@ -563,8 +704,9 @@ class RemoteExecutor:
         empty_since: Optional[float] = None
         try:
             while True:
+                self._wake.clear()
                 with self._lock:
-                    finished = batch.done()
+                    finished = ledger.done()
                     alive = len(self._workers)
                 if finished:
                     break
@@ -574,7 +716,7 @@ class RemoteExecutor:
                 if heartbeat is not None:
                     heartbeat()
                 self._reap_and_respawn()
-                self._check_heartbeats()
+                self._check_deadlines(batch)
                 if alive == 0:
                     if empty_since is None:
                         empty_since = time.monotonic()
@@ -584,102 +726,80 @@ class RemoteExecutor:
                         break
                 else:
                     empty_since = None
-                time.sleep(self.config.poll_interval_s)
+                self._wake.wait(self.config.poll_interval_s)
+        except KeyboardInterrupt:
+            self._drain(batch)
         finally:
             with self._lock:
                 self._batch = None
-            self.last_stats = {
-                "dispatched": batch.dispatched,
-                "requeued": batch.requeued,
-                "fenced": batch.fenced,
-                "heartbeat_timeouts": batch.heartbeat_timeouts,
-                "fallback_local": batch.fallback_local,
-                "result_order": list(batch.result_order),
-            }
-        for index, outcome in enumerate(batch.outcomes):
-            if outcome is None:
-                batch.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=batch.failures[index],
-                    error="shutdown requested")
-        return batch.outcomes  # type: ignore[return-value]
+            self.last_stats = batch.stats()
+        return ledger.results()
 
     def _degrade(self, batch: _Batch,
                  should_stop: Optional[Callable[[], bool]],
                  heartbeat: Optional[Callable[[], None]]) -> None:
         """Pool empty past the deadline: finish locally or fail loudly."""
+        ledger = batch.ledger
         with self._lock:
-            # Anything still marked running sat on a worker that is gone;
-            # revoke so a zombie reconnect cannot race the local execution.
+            # Detach the batch so a zombie reconnect can neither lease nor
+            # land a result; anything still marked running sat on a worker
+            # that is gone and goes back to the queue uncharged.
+            self._batch = None
             for index in list(batch.running):
                 batch.running.pop(index)
                 batch.requeued += 1
-            pending = [index for index, outcome in enumerate(batch.outcomes)
-                       if outcome is None]
-            batch.queue = []
-        if not pending:
+                ledger.requeue(index)
+        if ledger.done():
             return
+        pending = sum(outcome is None for outcome in ledger.outcomes)
         if self.config.fallback == "fail":
             raise NoWorkersError(
                 f"all remote workers lost and none reconnected within "
-                f"{self.config.worker_deadline_s:.1f}s; {len(pending)} "
+                f"{self.config.worker_deadline_s:.1f}s; {pending} "
                 f"item(s) unfinished — completed work is in the store, "
                 f"re-run to resume")
         batch.fallback_local += 1
         telemetry.counter("rpc.fallback_local")
         logger.warning(
             "all remote workers lost for %.1fs; finishing %d item(s) "
-            "locally", self.config.worker_deadline_s, len(pending))
-        outcomes = run_resilient(
-            batch.fn, [batch.items[index] for index in pending],
-            batch.config, should_stop=should_stop, heartbeat=heartbeat,
-            initial_failures=[batch.failures[index] for index in pending])
-        with self._lock:
-            for index, outcome in zip(pending, outcomes):
-                if batch.outcomes[index] is None:
-                    batch.outcomes[index] = outcome
-                    batch.result_order.append(index)
+            "locally", self.config.worker_deadline_s, pending)
+        run_serial(ledger, should_stop, heartbeat)
 
     def _drain(self, batch: _Batch) -> None:
         """Graceful stop: wait briefly for in-flight work, then give up."""
-        grace = batch.config.job_timeout or 60.0
+        with self._lock:
+            batch.ledger.stop()
+        grace = batch.ledger.config.job_timeout or 60.0
         deadline = time.monotonic() + grace
         while time.monotonic() < deadline:
+            self._wake.clear()
             with self._lock:
                 if not batch.running:
                     return
-                batch.queue = []
-            time.sleep(self.config.poll_interval_s)
+            self._wake.wait(self.config.poll_interval_s)
 
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
-        """Tell workers to exit, reap subprocesses, close the socket."""
+        """Tell workers to exit, reap them, stop every coordinator thread."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         deadline = time.monotonic() + timeout
-        for proc in self._procs:
-            remaining = max(deadline - time.monotonic(), 0.1)
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-        self._procs.clear()
-        try:
-            self._server.close()
-        except OSError:
-            pass
+        self._stop_procs(deadline)
+        # shutdown() wakes a thread blocked in accept() or readline();
+        # close() alone would leave it blocked.  No connection arrives once
+        # the accept thread is gone.
+        _shutdown(self._server)
+        self._server.close()
+        self._accept_thread.join(max(deadline - time.monotonic(), 1.0))
         with self._lock:
-            workers = list(self._workers.values())
-        for worker in workers:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            conns, threads = list(self._conns), list(self._threads)
+        for conn in conns:
+            _shutdown(conn)
+        for thread in threads:
+            thread.join(max(deadline - time.monotonic(), 1.0))
+        self._threads.clear()
 
     def __enter__(self) -> "RemoteExecutor":
         return self
@@ -726,11 +846,6 @@ def _execute_job(message: Dict[str, Any], wfile: IO[str],
     # engine configuration); install it — or clear a predecessor's — before
     # consulting any rpc site so injection is placement-independent.
     faults.install_plan(getattr(item, "fault_plan", None))
-    if faults.rpc_rule("rpc.worker_crash", key, attempt) is not None:
-        logger.warning("fault: worker pid %d crashing on %s (attempt %d)",
-                       os.getpid(), key, attempt)
-        sys.stderr.flush()
-        os._exit(66)
     if faults.rpc_rule("rpc.conn_drop", key, attempt) is not None:
         logger.warning("fault: dropping coordinator connection on %s "
                        "(attempt %d)", key, attempt)
@@ -811,27 +926,31 @@ def run_worker(host: str, port: int, connect_attempts: int = 20,
     Reconnects after injected connection drops and after losing the
     coordinator (which may be between batches or restarting).  Returns a
     process exit code: 0 after an orderly BYE, 1 when the coordinator was
-    never reachable, 2 on protocol rejection.
+    never reachable, 2 on protocol rejection.  While it runs, this process
+    is a worker for :func:`~repro.core.faults.in_worker_process`, so a
+    ``job.crash`` fault kills it.
     """
-    served_once = False
-    while True:
-        sock = _connect(host, port, connect_attempts, connect_delay_s)
-        if sock is None:
-            if served_once:
-                logger.info("coordinator gone; exiting")
-                return 0
-            logger.error("could not reach coordinator at %s:%d", host, port)
-            return 1
-        try:
-            outcome = _serve_session(sock)
-        finally:
+    with faults.worker_process():
+        served_once = False
+        while True:
+            sock = _connect(host, port, connect_attempts, connect_delay_s)
+            if sock is None:
+                if served_once:
+                    logger.info("coordinator gone; exiting")
+                    return 0
+                logger.error("could not reach coordinator at %s:%d", host,
+                             port)
+                return 1
             try:
-                sock.close()
-            except OSError:
-                pass
-        if outcome == "bye":
-            return 0
-        if outcome == "reject":
-            return 2
-        served_once = True
-        # "drop" (injected) and "lost" both retry the dial loop.
+                outcome = _serve_session(sock)
+            finally:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+            if outcome == "bye":
+                return 0
+            if outcome == "reject":
+                return 2
+            served_once = True
+            # "drop" (injected) and "lost" both retry the dial loop.

@@ -15,17 +15,18 @@ Sites
     Raise :class:`InjectedFault` inside the worker entry point, before any
     training happens (a deterministic stand-in for a raising design).
 ``job.crash``
-    Kill the worker process with ``os._exit`` — the parent sees a
-    ``BrokenProcessPool`` and must respawn the pool.  Under serial execution
-    (where dying would take the campaign down with it) the site degrades to
-    an :class:`InjectedFault` marked as a crash surrogate.
+    Kill the worker process (local or remote) with ``os._exit`` — the
+    coordinator sees the connection drop, must requeue the job and respawn
+    the worker.  Under serial execution (where dying would take the
+    campaign down with it) the site degrades to an :class:`InjectedFault`
+    marked as a crash surrogate.
 ``job.timeout``
     Sleep ``delay_s`` seconds inside the job so a configured ``job_timeout``
     expires (under serial execution the sleep simply delays the job).
 ``job.interrupt``
-    Deliver ``SIGINT`` to the current process mid-job (parent/serial
-    execution only) — exercising the scheduler's graceful-shutdown path with
-    none of the timing flakiness of an external kill.
+    Deliver ``SIGINT`` to the current process mid-job (serial execution
+    only; workers skip it) — exercising the scheduler's graceful-shutdown
+    path with none of the timing flakiness of an external kill.
 ``store.torn_write``
     Corrupt the payload of a :meth:`ResultStore.put_run` before it reaches
     its final path, as a crash mid-write would.
@@ -33,10 +34,6 @@ Sites
     Plant a foreign lease (aged by ``delay_s`` seconds) on a key just before
     the store tries to claim it, forcing the contention or stale-takeover
     path.
-``rpc.worker_crash``
-    Kill a remote campaign worker (``repro worker``) with ``os._exit`` upon
-    receiving a matching JOB — the coordinator must detect the lost
-    connection, requeue the job and respawn the subprocess.
 ``rpc.conn_drop``
     Make a remote worker close its coordinator connection upon receiving a
     matching JOB and reconnect — the coordinator must requeue the in-flight
@@ -63,7 +60,7 @@ of ``(seed, site, key, occurrence)``, not a shared RNG stream, so worker
 placement cannot change which faults fire.
 
 The plan is installed process-globally (:func:`install_plan` /
-:func:`inject`) and rides to pool workers inside the scheduler's task
+:func:`inject`) and rides to workers inside the scheduler's task
 payloads exactly like the engine configuration, so a worker observes the
 same plan the parent does.
 """
@@ -92,6 +89,7 @@ __all__ = [
     "inject",
     "perturb_job",
     "in_worker_process",
+    "worker_process",
     "store_rule",
     "rpc_rule",
 ]
@@ -107,7 +105,6 @@ FAULT_SITES = frozenset({
     "job.interrupt",
     "store.torn_write",
     "store.lease_hold",
-    "rpc.worker_crash",
     "rpc.conn_drop",
     "rpc.heartbeat_loss",
     "rpc.result_delay",
@@ -256,11 +253,23 @@ def inject(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
         install_plan(previous)
 
 
-def in_worker_process() -> bool:
-    """True inside a spawned/forked pool worker, False in the parent."""
-    import multiprocessing
+_IN_WORKER = False
 
-    return multiprocessing.parent_process() is not None
+
+def in_worker_process() -> bool:
+    """True while this process serves jobs as an executor worker."""
+    return _IN_WORKER
+
+
+@contextmanager
+def worker_process() -> Iterator[None]:
+    """Mark this process as an executor worker for a ``with`` block."""
+    global _IN_WORKER
+    previous, _IN_WORKER = _IN_WORKER, True
+    try:
+        yield
+    finally:
+        _IN_WORKER = previous
 
 
 def perturb_job(key: str, attempt: int) -> None:
@@ -268,7 +277,8 @@ def perturb_job(key: str, attempt: int) -> None:
 
     Called by the scheduler's worker entry point before training starts.
     May raise :class:`InjectedFault`, sleep, kill the worker process, or
-    deliver ``SIGINT`` to the parent, per the active plan.
+    deliver ``SIGINT`` to a serial (non-worker) process, per the active
+    plan.
     """
     plan = _PLAN
     if plan is None:

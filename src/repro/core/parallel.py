@@ -1,10 +1,17 @@
-"""Process-parallel execution of independent evaluation work items.
+"""Failure-isolated execution of independent evaluation work items.
 
 The §3.1 protocol is embarrassingly parallel: every (design, seed) training
 session is an independent, deterministic function of its inputs.  This module
-provides the one primitive the evaluation layer needs — an order-preserving
-``parallel_map`` — plus the configuration dataclass that is plumbed from the
+provides the one entry point the evaluation layer needs —
+:func:`run_resilient`, an order-preserving map with retries, quarantine and
+graceful shutdown — plus the configuration dataclass that is plumbed from the
 CLI (``--workers``) down to :class:`~repro.core.evaluation.TestScoreProtocol`.
+
+There is one failure model and one place its per-item state lives: the
+:class:`Ledger`.  Serial execution drives the ledger in-process; fan-out over
+more than one worker opens a loopback
+:class:`~repro.core.distributed.RemoteExecutor` coordinator with forked local
+workers, which drives the very same ledger from its dispatch loop.
 
 Design constraints:
 
@@ -12,27 +19,24 @@ Design constraints:
   item runs exactly the same code it would run serially, so a parallel sweep
   is bit-identical to the serial one regardless of scheduling.
 * **Graceful degradation.** ``max_workers <= 1`` (the default) runs inline
-  with zero overhead; if a process pool cannot be created (restricted
-  sandboxes, missing semaphores) the map falls back to the serial path with a
-  warning instead of failing the experiment.
+  with zero overhead; if the loopback coordinator or its workers cannot be
+  started (restricted sandboxes) the batch falls back to the serial path with
+  a warning instead of failing the experiment.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from ..log import get_logger
 from . import telemetry
 
-__all__ = ["ParallelConfig", "TaskOutcome", "effective_workers",
-           "parallel_map", "run_resilient"]
+__all__ = ["Ledger", "ParallelConfig", "TaskOutcome", "effective_workers",
+           "run_resilient"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -42,8 +46,12 @@ logger = get_logger("parallel")
 #: Environment variable consulted when ``max_workers`` is None.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: Seconds between polls of the worker pool in the resilient driver.
-_POLL_INTERVAL_S = 0.05
+#: Fan out only batches of at least this many work items; smaller ones are
+#: not worth the worker start-up cost.
+CHUNK_THRESHOLD = 2
+
+#: Growth factor of the retry delay (exponential backoff).
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -51,28 +59,24 @@ class ParallelConfig:
     """How evaluation work items are executed.
 
     Attributes:
-        max_workers: Process count for fan-out.  ``None`` reads
+        max_workers: Worker processes for fan-out.  ``None`` reads
             :data:`WORKERS_ENV_VAR` (defaulting to 1); any value <= 1 runs
             serially in-process.
-        chunk_threshold: Fan out only when there are at least this many work
-            items; tiny sweeps are not worth the process start-up cost.
         max_retries: How many times :func:`run_resilient` re-runs a failing
             work item (raise, worker death, timeout) before quarantining it.
             0 fails fast on the first error.
         backoff_base_s: First retry delay; each further retry multiplies it
-            by ``backoff_factor`` (exponential backoff).
-        backoff_factor: Growth factor of the retry delay.
-        job_timeout: Seconds one work item may run inside a pool worker
-            before it is counted as failed and its worker recycled.  None
-            disables the limit.  Only enforced under process fan-out — a
-            serial in-process job cannot be preempted.
+            by :data:`BACKOFF_FACTOR`.
+        job_timeout: Seconds one work item may hold a worker assignment
+            before it is revoked, charged as failed and retried; a worker
+            the executor launched itself is then replaced.  None disables
+            the limit.  Enforced on every fan-out (local workers and remote
+            ones); a serial in-process job cannot be preempted.
     """
 
     max_workers: Optional[int] = None
-    chunk_threshold: int = 2
     max_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     job_timeout: Optional[float] = None
 
     def resolved_workers(self) -> int:
@@ -80,7 +84,7 @@ class ParallelConfig:
 
     def backoff_s(self, failures: int) -> float:
         """Delay before the ``failures``-th retry (1-based)."""
-        return self.backoff_base_s * (self.backoff_factor ** max(0, failures - 1))
+        return self.backoff_base_s * (BACKOFF_FACTOR ** max(0, failures - 1))
 
 
 @dataclass
@@ -117,396 +121,193 @@ def effective_workers(max_workers: Optional[int] = None) -> int:
     return max(1, max_workers)
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 config: Optional[ParallelConfig] = None) -> List[R]:
-    """Map ``fn`` over ``items``, optionally across worker processes.
+def describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    Results preserve the order of ``items``.  ``fn`` and every item must be
-    picklable when more than one worker is requested; the serial path has no
-    such requirement.  Pool construction errors degrade to the serial path
-    with a warning so experiments never die because of sandbox restrictions.
+
+class Ledger:
+    """Per-item state of one batch, shared by every execution path.
+
+    ``failures[i]`` counts the attempts charged to item ``i``, so it is also
+    the zero-based attempt index of its next run.  Items wait in ``queue``
+    (sorted by submission index) until their backoff deadline ``ready_at``
+    passes; a terminal :class:`TaskOutcome` ends them.  ``finished`` lists
+    items in the order they reached ``ok`` or ``quarantined``.  After
+    :meth:`stop` nothing is handed out any more and every failure or queued
+    item ends ``interrupted``.
+
+    The ledger takes no lock: the serial path owns it alone, and the
+    coordinator mutates it only under its own lock.
     """
-    config = config or ParallelConfig()
-    items = list(items)
-    workers = config.resolved_workers()
-    tel = telemetry.get_telemetry()
-    attrs = ({"items": len(items), "workers": workers}
-             if tel is not None else None)
-    if workers <= 1 or len(items) < max(config.chunk_threshold, 2):
-        with telemetry.span("parallel.map", attrs):
-            return [fn(item) for item in items]
-    workers = min(workers, len(items))
-    if attrs is not None:
-        attrs["workers"] = workers
-    with telemetry.span("parallel.map", attrs):
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        except (OSError, PermissionError, pickle.PicklingError,
-                AttributeError) as exc:
-            logger.warning("process pool unavailable (%r); "
-                           "falling back to serial execution", exc)
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                f"falling back to serial execution")
-            if tel is not None:
-                tel.counter("parallel.serial_fallback")
-            return [fn(item) for item in items]
+
+    def __init__(self, fn: Callable[[Any, int], Any], items: Sequence[Any],
+                 config: ParallelConfig) -> None:
+        self.fn = fn
+        self.items = list(items)
+        self.config = config
+        count = len(self.items)
+        self.outcomes: List[Optional[TaskOutcome]] = [None] * count
+        self.failures = [0] * count
+        self.ready_at = [0.0] * count
+        self.queue: List[int] = list(range(count))
+        self.finished: List[int] = []
+        self.stopped = False
+        self._open = count
+
+    def done(self) -> bool:
+        return self._open == 0
+
+    def take_ready(self, now: float) -> Optional[int]:
+        """Pop the first queued item whose backoff has passed, if any."""
+        if self.stopped:
+            return None
+        for slot, index in enumerate(self.queue):
+            if self.ready_at[index] <= now:
+                return self.queue.pop(slot)
+        return None
+
+    def next_ready_at(self) -> Optional[float]:
+        return min((self.ready_at[index] for index in self.queue),
+                   default=None)
+
+    def requeue(self, index: int) -> None:
+        """Put an item back without charging it an attempt."""
+        self.queue.append(index)
+        self.queue.sort()
+
+    def succeed(self, index: int, value: Any) -> None:
+        self._finish(index, TaskOutcome(value=value,
+                                        attempts=self.failures[index] + 1))
+        self.finished.append(index)
+
+    def charge(self, index: int, error: str) -> None:
+        """Charge one failed attempt: retry after backoff, or quarantine."""
+        self.failures[index] += 1
+        attempts = self.failures[index]
+        logger.warning("work item %d failed (attempt %d/%d): %s", index,
+                       attempts, self.config.max_retries + 1, error)
+        if self.stopped:
+            self.interrupt(index, attempts, error)
+        elif attempts > self.config.max_retries:
+            self._finish(index, TaskOutcome(status="quarantined",
+                                            attempts=attempts, error=error))
+            self.finished.append(index)
+        else:
+            self.ready_at[index] = (time.monotonic()
+                                    + self.config.backoff_s(attempts))
+            self.requeue(index)
+
+    def interrupt(self, index: int, attempts: int, error: str) -> None:
+        self._finish(index, TaskOutcome(status="interrupted",
+                                        attempts=attempts, error=error))
+
+    def stop(self) -> None:
+        """Shutdown requested: hand out nothing more, interrupt the queue."""
+        self.stopped = True
+        for index in self.queue:
+            self.interrupt(index, self.failures[index], "shutdown requested")
+        self.queue = []
+
+    def results(self) -> List[TaskOutcome]:
+        """Submission-ordered outcomes; unfinished items are interrupted."""
+        for index, outcome in enumerate(self.outcomes):
+            if outcome is None:
+                self.interrupt(index, self.failures[index],
+                               "shutdown requested while running")
+        return self.outcomes  # type: ignore[return-value]
+
+    def _finish(self, index: int, outcome: TaskOutcome) -> None:
+        if self.outcomes[index] is None:
+            self._open -= 1
+        self.outcomes[index] = outcome
 
 
-# --------------------------------------------------------------------------- #
-# Resilient execution: retry/backoff, pool respawn, timeouts, quarantine.
-# --------------------------------------------------------------------------- #
 def run_resilient(fn: Callable[[T, int], R], items: Sequence[T],
                   config: Optional[ParallelConfig] = None,
                   should_stop: Optional[Callable[[], bool]] = None,
                   heartbeat: Optional[Callable[[], None]] = None,
-                  initial_failures: Optional[Sequence[int]] = None,
                   ) -> List[TaskOutcome]:
     """Map ``fn(item, attempt)`` over ``items`` with failure isolation.
 
-    The fault-tolerant sibling of :func:`parallel_map`, used by the campaign
-    scheduler.  One raising, hanging or crashing work item no longer poisons
-    the batch:
+    Used by the campaign scheduler.  One raising, hanging or crashing work
+    item does not poison the batch:
 
-    * an item whose attempt raises is retried with exponential backoff up to
-      ``config.max_retries`` times, then **quarantined** — the batch
-      completes with a per-item :class:`TaskOutcome` instead of a traceback;
-    * a worker death (``BrokenProcessPool``) charges an attempt to the items
-      that were running, respawns the pool, and resubmits everything else
-      uncharged;
-    * an item exceeding ``config.job_timeout`` inside a worker is failed,
-      its (possibly wedged) pool recycled, and the item retried;
-    * ``should_stop`` (polled between attempts and pool ticks) requests a
-      graceful shutdown: running work is drained, unstarted work is marked
-      ``"interrupted"``, and whatever completed is returned.
+    * an item whose attempt raises, whose worker dies, or whose assignment
+      outlives ``config.job_timeout`` is retried with exponential backoff
+      up to ``config.max_retries`` times, then **quarantined** — the batch
+      completes with a per-item :class:`TaskOutcome` instead of a
+      traceback;
+    * ``should_stop`` (polled between attempts and supervision ticks)
+      requests a graceful shutdown: running work is drained, unstarted work
+      is marked ``"interrupted"``, and whatever completed is returned.
+
+    With more than one worker the batch runs on a loopback
+    :class:`~repro.core.distributed.RemoteExecutor` whose workers are forked
+    from this process before any coordinator thread starts, so they inherit
+    every imported module.  The coordinator and its workers are closed when
+    the batch ends.
 
     ``fn`` receives the zero-based attempt index alongside the item so
     deterministic fault plans can key off it.  Outcomes preserve submission
     order, and retried attempts run exactly the code a first attempt runs,
     so recovered results are bit-identical to undisturbed ones.
-
-    ``initial_failures`` seeds each item's attempt counter (same length as
-    ``items``) — used when another executor hands a partially-failed batch
-    over (the remote transport's local fallback), so retry budgets and
-    fault-plan occurrence indices continue instead of restarting.
     """
     config = config or ParallelConfig()
-    items = list(items)
-    workers = config.resolved_workers()
+    ledger = Ledger(fn, items, config)
+    workers = min(config.resolved_workers(), len(ledger.items))
     tel = telemetry.get_telemetry()
-    attrs = ({"items": len(items), "workers": workers}
+    attrs = ({"items": len(ledger.items), "workers": max(workers, 1)}
              if tel is not None else None)
-    if workers <= 1 or len(items) < max(config.chunk_threshold, 2):
-        with telemetry.span("parallel.map", attrs):
-            return _run_serial(fn, items, config, should_stop, heartbeat,
-                               initial_failures)
-    workers = min(workers, len(items))
-    if attrs is not None:
-        attrs["workers"] = workers
     with telemetry.span("parallel.map", attrs):
-        driver = _ResilientDriver(fn, items, config, workers,
-                                  should_stop=should_stop,
-                                  heartbeat=heartbeat,
-                                  initial_failures=initial_failures)
+        if workers <= 1 or len(ledger.items) < CHUNK_THRESHOLD:
+            return run_serial(ledger, should_stop, heartbeat)
+        from .distributed import RemoteExecutor
+
         try:
-            return driver.run()
-        except (OSError, PermissionError, pickle.PicklingError,
-                AttributeError) as exc:
-            logger.warning("process pool unavailable (%r); "
-                           "falling back to serial execution", exc)
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                f"falling back to serial execution")
-            if tel is not None:
-                tel.counter("parallel.serial_fallback")
-            return _run_serial(fn, items, config, should_stop, heartbeat,
-                               initial_failures)
+            executor = RemoteExecutor.local(workers, ledger)
+        except OSError as exc:
+            logger.warning("local workers unavailable (%r); falling back to "
+                           "serial execution", exc)
+            warnings.warn(f"local workers unavailable ({exc!r}); falling "
+                          f"back to serial execution")
+            telemetry.counter("parallel.serial_fallback")
+            return run_serial(ledger, should_stop, heartbeat)
+        with executor:
+            return executor._dispatch(ledger, should_stop, heartbeat)
 
 
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def run_serial(ledger: Ledger,
+               should_stop: Optional[Callable[[], bool]] = None,
+               heartbeat: Optional[Callable[[], None]] = None,
+               ) -> List[TaskOutcome]:
+    """Drive ``ledger`` to completion in-process.
 
-
-def _run_serial(fn: Callable[[T, int], R], items: Sequence[T],
-                config: ParallelConfig,
-                should_stop: Optional[Callable[[], bool]],
-                heartbeat: Optional[Callable[[], None]] = None,
-                initial_failures: Optional[Sequence[int]] = None,
-                ) -> List[TaskOutcome]:
-    """In-process execution with the same retry/quarantine semantics.
-
-    ``heartbeat`` fires between items and attempts — the finest granularity
-    available without preemption, which bounds lease staleness to one
-    item's runtime.
+    ``heartbeat`` fires between attempts — the finest granularity available
+    without preemption, which bounds lease staleness to one item's runtime.
     """
-    outcomes: List[TaskOutcome] = []
-    interrupted = False
-    for index, item in enumerate(items):
+    while not ledger.done():
         if heartbeat is not None:
             heartbeat()
-        if interrupted or (should_stop is not None and should_stop()):
-            outcomes.append(TaskOutcome(status="interrupted", attempts=0,
-                                        error="shutdown requested"))
-            interrupted = True
+        if should_stop is not None and should_stop():
+            ledger.stop()
+            break
+        index = ledger.take_ready(time.monotonic())
+        if index is None:
+            # Everything left is backing off.
+            time.sleep(max(ledger.next_ready_at() - time.monotonic(), 0.0))
             continue
-        attempt = initial_failures[index] if initial_failures else 0
-        while True:
-            try:
-                value = fn(item, attempt)
-            except KeyboardInterrupt:
-                # ^C (or SIGTERM translated by the scheduler) mid-job: the
-                # current item is lost, the rest is drained as interrupted,
-                # and the caller persists whatever completed.
-                outcomes.append(TaskOutcome(status="interrupted",
-                                            attempts=attempt + 1,
-                                            error="interrupted mid-job"))
-                interrupted = True
-                break
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                attempt += 1
-                logger.warning("work item %d failed (attempt %d/%d): %s",
-                               index, attempt, config.max_retries + 1,
-                               _describe(exc))
-                if should_stop is not None and should_stop():
-                    outcomes.append(TaskOutcome(status="interrupted",
-                                                attempts=attempt,
-                                                error=_describe(exc)))
-                    interrupted = True
-                    break
-                if attempt > config.max_retries:
-                    outcomes.append(TaskOutcome(status="quarantined",
-                                                attempts=attempt,
-                                                error=_describe(exc)))
-                    break
-                time.sleep(config.backoff_s(attempt))
-                if heartbeat is not None:
-                    heartbeat()
-            else:
-                outcomes.append(TaskOutcome(value=value,
-                                            attempts=attempt + 1))
-                break
-    return outcomes
-
-
-class _ResilientDriver:
-    """Pool-backed engine behind :func:`run_resilient`.
-
-    Tracks per-item attempt counts and backoff deadlines, stamps when each
-    future actually starts running (the only honest base for a job timeout
-    and for charging pool crashes to the right items), and rebuilds the
-    executor whenever it breaks or wedges.
-    """
-
-    def __init__(self, fn: Callable[[T, int], R], items: List[T],
-                 config: ParallelConfig, workers: int,
-                 should_stop: Optional[Callable[[], bool]] = None,
-                 heartbeat: Optional[Callable[[], None]] = None,
-                 initial_failures: Optional[Sequence[int]] = None) -> None:
-        self.fn = fn
-        self.items = items
-        self.config = config
-        self.workers = workers
-        self.should_stop = should_stop or (lambda: False)
-        self.heartbeat = heartbeat or (lambda: None)
-        self.outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        self.failures = (list(initial_failures) if initial_failures
-                         else [0] * len(items))
-        self.ready_at = [0.0] * len(items)
-        self.queue: List[int] = list(range(len(items)))
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.futures: Dict[Any, int] = {}
-        self.started: Dict[Any, float] = {}
-
-    # ------------------------------------------------------------------ #
-    def run(self) -> List[TaskOutcome]:
         try:
-            while self.queue or self.futures:
-                if self.should_stop():
-                    self._drain()
-                    break
-                self._submit_ready()
-                self._tick()
-                self.heartbeat()
+            value = ledger.fn(ledger.items[index], ledger.failures[index])
         except KeyboardInterrupt:
-            self._drain()
-        finally:
-            self._shutdown_pool()
-        for index, outcome in enumerate(self.outcomes):
-            if outcome is None:
-                self.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=self.failures[index],
-                    error="shutdown requested")
-        return self.outcomes  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self.pool
-
-    def _shutdown_pool(self, recycle: bool = False) -> None:
-        pool = self.pool
-        self.pool = None
-        self.futures.clear()
-        self.started.clear()
-        if pool is None:
-            return
-        try:
-            pool.shutdown(wait=not recycle, cancel_futures=True)
-        except TypeError:  # pragma: no cover - cancel_futures needs py3.9
-            pool.shutdown(wait=not recycle)
-        if recycle:
-            # A wedged worker would otherwise run to completion in the
-            # abandoned pool; terminate what we can (best effort, the
-            # executor offers no public kill switch).
-            # shutdown() may have already nulled the internals dict.
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-
-    def _submit_ready(self) -> None:
-        now = time.monotonic()
-        pool = self._ensure_pool()
-        free = self.workers - len(self.futures)
-        remaining: List[int] = []
-        for index in self.queue:
-            if free > 0 and self.ready_at[index] <= now:
-                future = pool.submit(self.fn, self.items[index],
-                                     self.failures[index])
-                self.futures[future] = index
-                free -= 1
-            else:
-                remaining.append(index)
-        self.queue = remaining
-
-    def _tick(self) -> None:
-        if not self.futures:
-            # Everything unfinished is backing off; sleep until the
-            # earliest item is ready again.
-            if self.queue:
-                now = time.monotonic()
-                wake = min(self.ready_at[index] for index in self.queue)
-                time.sleep(min(max(wake - now, 0.0), 0.25)
-                           or _POLL_INTERVAL_S)
-            return
-        done, not_done = wait(list(self.futures), timeout=_POLL_INTERVAL_S,
-                              return_when=FIRST_COMPLETED)
-        now = time.monotonic()
-        for future in not_done:
-            if future not in self.started and future.running():
-                self.started[future] = now
-        for future in done:
-            index = self.futures.pop(future)
-            self.started.pop(future, None)
-            try:
-                value = future.result()
-            except BrokenProcessPool:
-                self._handle_pool_break(index)
-                return
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                self._record_failure(index, _describe(exc))
-            else:
-                self.outcomes[index] = TaskOutcome(
-                    value=value, attempts=self.failures[index] + 1)
-        self._check_timeouts(now)
-
-    def _check_timeouts(self, now: float) -> None:
-        timeout = self.config.job_timeout
-        if timeout is None:
-            return
-        expired = [future for future, start in self.started.items()
-                   if future in self.futures and now - start > timeout]
-        if not expired:
-            return
-        for future in expired:
-            index = self.futures.pop(future)
-            self.started.pop(future, None)
-            self._record_failure(
-                index, f"TimeoutError: job exceeded {timeout:.1f}s")
-        # The workers behind the expired futures are wedged; everything
-        # still in flight is resubmitted (uncharged) to a fresh pool.
-        self._requeue_inflight(charge=None)
-        self._shutdown_pool(recycle=True)
-        telemetry.counter("parallel.pool_recycled")
-
-    def _handle_pool_break(self, crashed_index: int) -> None:
-        """A worker died.  Charge the items that were running, respawn."""
-        self._record_failure(crashed_index,
-                             "BrokenProcessPool: worker process died")
-        running = {self.futures[future] for future in list(self.started)
-                   if future in self.futures}
-        self._requeue_inflight(charge=running)
-        self._shutdown_pool(recycle=True)
-        telemetry.counter("parallel.pool_recycled")
-        logger.warning("worker pool died; respawning (%d item(s) resubmitted)",
-                       len(self.queue))
-
-    def _requeue_inflight(self, charge: Optional[set]) -> None:
-        for future, index in list(self.futures.items()):
-            if future.done() and not future.cancelled():
-                # The item finished just as the pool broke/wedged: harvest
-                # its result instead of charging or re-running it.
-                try:
-                    value = future.result()
-                except Exception:  # noqa: BLE001 - fell with the pool
-                    pass
-                else:
-                    self.outcomes[index] = TaskOutcome(
-                        value=value, attempts=self.failures[index] + 1)
-                    continue
-            future.cancel()
-            if charge is not None and index in charge:
-                self._record_failure(
-                    index, "BrokenProcessPool: worker process died")
-            elif self.outcomes[index] is None:
-                self.queue.append(index)
-        self.futures.clear()
-        self.started.clear()
-        self.queue.sort()
-
-    def _record_failure(self, index: int, error: str) -> None:
-        self.failures[index] += 1
-        attempts = self.failures[index]
-        logger.warning("work item %d failed (attempt %d/%d): %s", index,
-                       attempts, self.config.max_retries + 1, error)
-        if attempts > self.config.max_retries:
-            self.outcomes[index] = TaskOutcome(status="quarantined",
-                                               attempts=attempts, error=error)
+            # ^C (or SIGTERM translated by the scheduler) mid-job: the
+            # current item is lost, the rest is drained as interrupted, and
+            # the caller persists whatever completed.
+            ledger.stop()
+            ledger.interrupt(index, ledger.failures[index] + 1,
+                             "interrupted mid-job")
+            break
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            ledger.charge(index, describe(exc))
         else:
-            self.ready_at[index] = (time.monotonic()
-                                    + self.config.backoff_s(attempts))
-            self.queue.append(index)
-            self.queue.sort()
-
-    def _drain(self) -> None:
-        """Graceful shutdown: finish running work, mark the rest interrupted."""
-        for index in self.queue:
-            if self.outcomes[index] is None:
-                self.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=self.failures[index],
-                    error="shutdown requested")
-        self.queue = []
-        if not self.futures:
-            return
-        grace = self.config.job_timeout or 60.0
-        done, not_done = wait(list(self.futures), timeout=grace)
-        for future in done:
-            index = self.futures[future]
-            try:
-                self.outcomes[index] = TaskOutcome(
-                    value=future.result(), attempts=self.failures[index] + 1)
-            except Exception as exc:  # noqa: BLE001 - drain is best effort
-                self.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=self.failures[index] + 1,
-                    error=_describe(exc))
-        for future in not_done:
-            index = self.futures[future]
-            self.outcomes[index] = TaskOutcome(
-                status="interrupted", attempts=self.failures[index],
-                error="shutdown requested while running")
-        self.futures.clear()
-        self.started.clear()
+            ledger.succeed(index, value)
+    return ledger.results()

@@ -10,8 +10,9 @@ one:
 * **inside** a job, all seeds train in lockstep through
   :class:`~repro.rl.a2c.MultiSeedA2CTrainer` (stacked per-seed weights, one
   batched fused update per round) whenever the design supports it;
-* **across** jobs, work fans out over the
-  :func:`~repro.core.parallel.parallel_map` process pool with an
+* **across** jobs, work fans out through
+  :func:`~repro.core.parallel.run_resilient` (local workers) or an attached
+  :class:`~repro.core.distributed.RemoteExecutor`, with an
   order-preserving merge.
 
 Because each job runs exactly the code it would run serially (the worker
@@ -28,8 +29,8 @@ fitted classifier state, which is not part of the key schema.
 
 Call sites (:class:`~repro.core.evaluation.TestScoreProtocol`,
 :class:`~repro.core.pipeline.NadaPipeline`, the ``analysis.experiments``
-sweeps and the CLI) never touch the process pool directly — they build jobs
-and hand them to a scheduler.
+sweeps and the CLI) never touch an executor directly — they build jobs and
+hand them to a scheduler.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from .. import nn
 from ..log import get_logger
 from . import blas, faults, telemetry
 from .faults import FaultPlan
-from .parallel import (ParallelConfig, TaskOutcome, parallel_map,
-                       run_resilient)
+from .parallel import ParallelConfig, TaskOutcome, run_resilient
 from .results import (Lease, ResultStore, context_fingerprint,
                       design_fingerprint, result_key)
 
@@ -184,7 +184,7 @@ def _run_job_task(
 ) -> Tuple[List["TrainingRun"], Optional[List[telemetry.TelemetryEvent]]]:
     """Worker entry point: train one job's seed batch, in lockstep if possible.
 
-    The job runs on one BLAS thread wherever it lands (in-process, pool
+    The job runs on one BLAS thread wherever it lands (in-process, local
     worker or remote worker): a BLAS reduction split over threads rounds
     differently, so pinning every executor keeps serial == workers == remote
     bit for bit whatever ``OPENBLAS_NUM_THREADS`` says.
@@ -220,7 +220,7 @@ class _MapTask:
 
 
 def _run_map_task(
-        task: _MapTask,
+        task: _MapTask, attempt: int = 0,
 ) -> Tuple[Any, Optional[List[telemetry.TelemetryEvent]]]:
     nn.engine.install(task.engine)
     with blas.single_threaded():
@@ -233,7 +233,7 @@ def _run_map_task(
 
 
 class CampaignScheduler:
-    """Executes evaluation jobs over the worker pool, through the store.
+    """Executes evaluation jobs through an executor and the store.
 
     The scheduler is deliberately stateless between :meth:`run` calls apart
     from the attached store and memoized context fingerprints — a campaign
@@ -251,7 +251,7 @@ class CampaignScheduler:
         #: :class:`~repro.core.distributed.RemoteExecutor`).  Anything with
         #: ``run(fn, items, config, should_stop=None, heartbeat=None) ->
         #: List[TaskOutcome]`` — the :func:`run_resilient` signature — can
-        #: stand in for the local process pool; results must preserve
+        #: stand in for the local workers; results must preserve
         #: submission order so the telemetry/record merge is unchanged.
         self.executor = executor
         #: Context fingerprints are O(dataset) to compute, so they are
@@ -459,7 +459,7 @@ class CampaignScheduler:
     def run(self, jobs: Sequence[EvaluationJob]) -> List[JobResult]:
         """Execute a batch of jobs; results come back in submission order.
 
-        Cached jobs are answered from the store without touching the pool.
+        Cached jobs are answered from the store without touching an executor.
         Identical (design, context, seed batch) jobs within the submission
         collapse to a single execution whose result fans back to every
         requester (``JobResult.deduplicated`` marks the copies).  The
@@ -678,7 +678,7 @@ class CampaignScheduler:
         """
         engine = nn.engine.current()
         plan = faults.get_plan()
-        # Remote workers parallelize like a multi-worker pool, so jobs that
+        # Remote workers parallelize like local ones, so jobs that
         # split per-seed under fan-out split the same way for them — record
         # layout stays identical across backends either way.
         split = (self.parallel.resolved_workers() > 1
@@ -705,15 +705,7 @@ class CampaignScheduler:
                 "scheduler.execute",
                 {"tasks": len(tasks)} if tel is not None else None):
             try:
-                if self.executor is not None:
-                    flat = self.executor.run(_run_job_task, tasks,
-                                             self.parallel,
-                                             should_stop=self._shutdown.is_set,
-                                             heartbeat=heartbeat)
-                else:
-                    flat = run_resilient(_run_job_task, tasks, self.parallel,
-                                         should_stop=self._shutdown.is_set,
-                                         heartbeat=heartbeat)
+                flat = self._execute(_run_job_task, tasks, heartbeat)
             except BaseException:
                 # Transport failure (e.g. NoWorkersError): release every
                 # claimed lease so a resuming campaign need not wait out
@@ -746,6 +738,15 @@ class CampaignScheduler:
                     self.store.release(lease)
             interrupted = interrupted or job_interrupted
         return interrupted
+
+    def _execute(self, fn: Callable[[Any, int], Any], tasks: Sequence[Any],
+                 heartbeat: Optional[Callable[[], None]] = None,
+                 ) -> List[TaskOutcome]:
+        """Run ``tasks`` on the attached executor, else :func:`run_resilient`."""
+        run = self.executor.run if self.executor is not None \
+            else run_resilient
+        return run(fn, tasks, self.parallel,
+                   should_stop=self._shutdown.is_set, heartbeat=heartbeat)
 
     def _lease_heartbeat(
             self, leases: List[Lease]) -> Optional[Callable[[], None]]:
@@ -859,17 +860,24 @@ class CampaignScheduler:
 
         Used by drivers whose work items do not produce
         :class:`TrainingRun` batches (e.g. the early-stopping corpus
-        builder).  The scheduler still owns execution — worker processes
-        install the engine configuration exactly as evaluation jobs do —
-        but results bypass the store.
+        builder).  Items go through the scheduler's normal dispatch — the
+        same executor, retries and engine configuration as evaluation jobs
+        — but results bypass the store.  Raises :class:`RuntimeError` with
+        the error of the first item that did not end ``ok``.
         """
         tel = telemetry.get_telemetry()
         engine = nn.engine.current()
         tasks = [_MapTask(fn, item, engine, tel is not None)
                  for item in items]
-        flat = parallel_map(_run_map_task, tasks, self.parallel)
+        flat = self._execute(_run_map_task, tasks)
+        for index, outcome in enumerate(flat):
+            if not outcome.ok:
+                raise RuntimeError(f"map item {index} {outcome.status} after "
+                                   f"{outcome.attempts} attempt(s): "
+                                   f"{outcome.error}")
         if tel is not None:
-            for _, events in flat:
+            for outcome in flat:
+                _, events = outcome.value
                 if events:
                     tel.extend(events)
-        return [result for result, _ in flat]
+        return [outcome.value[0] for outcome in flat]

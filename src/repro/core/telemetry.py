@@ -15,10 +15,10 @@ Design constraints:
   context manager and ``counter()``/``series()`` return immediately, so the
   instrumented hot paths allocate nothing and cost one attribute load when
   telemetry is off (pinned by ``tests/test_telemetry.py``).
-* **Process safety.**  Pool workers cannot share a buffer with the parent.
+* **Process safety.**  Workers cannot share a buffer with the parent.
   Worker tasks wrap their work in :func:`capture`, return the recorded
   events alongside their results, and the scheduler merges them back in
-  submission order — the same order-preserving contract ``parallel_map``
+  submission order — the same order-preserving contract ``run_resilient``
   gives results, so a serial run and a ``workers=N`` run produce identical
   event streams modulo timestamps and worker pids.
 * **No dependencies.**  Only the standard library, importable from any layer
@@ -190,7 +190,7 @@ class Telemetry:
             self.events.append(event)
 
     def extend(self, events: Sequence[TelemetryEvent]) -> None:
-        """Merge events recorded elsewhere (a pool worker) in their order."""
+        """Merge events recorded elsewhere (a worker process) in their order."""
         with self._lock:
             self.events.extend(events)
 
@@ -317,7 +317,7 @@ def series(name: str, step: int, value: float,
 def capture() -> Iterator[Telemetry]:
     """Record into a fresh in-memory sink, restoring the previous one after.
 
-    This is how pool workers (and the serial path standing in for them)
+    This is how workers (and the serial path standing in for them)
     collect events for the parent to merge: the worker task runs inside
     ``capture()``, ships ``sink.events`` back with its result, and the
     scheduler ``extend()``s them into the parent sink in submission order.
@@ -481,7 +481,10 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             "retries": int(counters.get("job.retry", 0.0)),
             "quarantined": int(counters.get("job.quarantined", 0.0)),
             "interrupted": int(counters.get("job.interrupted", 0.0)),
-            "pool_recycles": int(counters.get("parallel.pool_recycled", 0.0)),
+            "job_timeouts": int(counters.get("rpc.job_timeout", 0.0)),
+            "workers_lost": int(counters.get("rpc.worker_lost", 0.0)),
+            "workers_respawned":
+                int(counters.get("rpc.worker_respawned", 0.0)),
             "corrupt_records": int(counters.get("store.corrupt", 0.0)),
             "torn_writes": int(counters.get("store.torn_write", 0.0)),
             "put_races": int(counters.get("store.put_race", 0.0)),
@@ -578,7 +581,9 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
     lines.append(f"fault tolerance   : {faults['retries']} retries, "
                  f"{faults['quarantined']} quarantined, "
                  f"{faults['interrupted']} interrupted, "
-                 f"{faults['pool_recycles']} pool recycle(s)")
+                 f"{faults['job_timeouts']} job timeout(s), "
+                 f"{faults['workers_lost']} worker(s) lost / "
+                 f"{faults['workers_respawned']} respawned")
     lines.append(f"store integrity   : {faults['corrupt_records']} corrupt, "
                  f"{faults['torn_writes']} torn write(s), "
                  f"{faults['put_races']} put race(s); leases "

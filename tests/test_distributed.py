@@ -5,7 +5,7 @@ The PR's hard guarantees:
 * a ``--backend remote`` campaign over worker subprocesses is
   **bit-identical** (scores and store records) to the serial run, and two
   workers finish a batch of sleep-bound jobs strictly faster than one;
-* a worker lost mid-job — injected crash (``rpc.worker_crash``), dropped
+* a worker lost mid-job — injected crash (``job.crash``), dropped
   connection (``rpc.conn_drop``) or missed heartbeats
   (``rpc.heartbeat_loss``) — has its job requeued under the retry budget
   and the batch still completes bit-identically;
@@ -51,6 +51,7 @@ from repro.core import (
     run_worker,
     telemetry,
 )
+from repro.core import faults
 from repro.core.distributed import PROTOCOL_VERSION, _encode, _serve_session
 from repro.llm import StateDesignSpace, StateDesignSpec
 
@@ -124,6 +125,7 @@ def _sleep_item(item, attempt):
 
 
 def _item_value(item: _Item, attempt: int) -> int:
+    faults.perturb_job(item.fault_key(), attempt)
     if attempt < item.fails:
         raise ValueError(f"flaking on attempt {attempt}")
     return item.value * 10
@@ -241,19 +243,6 @@ class TestRemoteExecution:
             assert executor.run(_times_ten, []) == []
             assert executor.last_stats["dispatched"] == 0
 
-    def test_remote_retry_then_quarantine(self):
-        config = ParallelConfig(max_workers=2, max_retries=2,
-                                backoff_base_s=0.01)
-        items = [_Item(1), _Item(2, fails=2), _Item(3, fails=5)]
-        with _fresh_executor(launch=1) as executor:
-            outcomes = executor.run(_item_value, items, config)
-        assert outcomes[0].ok and outcomes[0].attempts == 1
-        assert outcomes[1].ok and outcomes[1].attempts == 3
-        assert [o.value for o in outcomes[:2]] == [10, 20]
-        assert outcomes[2].status == "quarantined"
-        assert outcomes[2].attempts == 3
-        assert "ValueError" in outcomes[2].error
-
     def test_two_workers_strictly_faster_than_one(self):
         """Work-stealing acceptance: pulled jobs split the sleep-bound batch."""
         items = list(range(4))  # 4 x 0.5s of sleeping
@@ -278,7 +267,7 @@ class TestRemoteExecution:
 # --------------------------------------------------------------------------- #
 class TestRpcFaults:
     def test_worker_crash_requeues_and_heals(self):
-        plan = FaultPlan(rules=(FaultRule("rpc.worker_crash",
+        plan = FaultPlan(rules=(FaultRule("job.crash",
                                           match="victim", times=1),))
         items = [_Item(1), _Item(2, key="victim", fault_plan=plan), _Item(3)]
         config = ParallelConfig(max_workers=2, max_retries=3,
@@ -428,7 +417,7 @@ class TestRemoteCampaign:
         campaign completes bit-identical with exactly-once persistence."""
         store = ResultStore(str(tmp_path))
         plan = FaultPlan(rules=(
-            FaultRule("rpc.worker_crash", match="state:", times=1),
+            FaultRule("job.crash", match="state:", times=1),
             FaultRule("rpc.conn_drop", match="original", times=1),
             FaultRule("store.torn_write", times=1),
         ))

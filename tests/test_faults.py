@@ -42,7 +42,6 @@ from repro.core import (
     ResultStore,
     TaskOutcome,
     inject,
-    run_resilient,
 )
 from repro.core import faults
 from repro.core.evaluation import TrainingRun
@@ -158,80 +157,6 @@ class TestFaultPlan:
             with pytest.raises(InjectedFault):
                 faults.perturb_job("some-key", 0)
             faults.perturb_job("some-key", 1)  # retry attempt passes
-
-
-# --------------------------------------------------------------------------- #
-# run_resilient: retry, quarantine, interruption, pool respawn
-# --------------------------------------------------------------------------- #
-def _flaky(item, attempt):
-    if attempt < item:
-        raise ValueError(f"flaking on attempt {attempt}")
-    return item * 10
-
-
-def _crash_once(item, attempt):
-    if item == 1 and attempt == 0:
-        if faults.in_worker_process():
-            os._exit(3)  # worker death, not an exception
-        raise RuntimeError("crash surrogate (serial fallback)")
-    return item * 10
-
-
-class TestRunResilient:
-    def test_serial_retries_then_succeeds(self):
-        config = ParallelConfig(max_workers=1, max_retries=2,
-                                backoff_base_s=0.0)
-        outcomes = run_resilient(_flaky, [0, 1, 2], config)
-        assert [o.value for o in outcomes] == [0, 10, 20]
-        assert [o.attempts for o in outcomes] == [1, 2, 3]
-        assert all(o.ok for o in outcomes)
-
-    def test_serial_quarantines_past_budget(self):
-        config = ParallelConfig(max_workers=1, max_retries=1,
-                                backoff_base_s=0.0)
-        outcomes = run_resilient(_flaky, [0, 3], config)
-        assert outcomes[0].ok
-        assert outcomes[1].status == "quarantined"
-        assert outcomes[1].attempts == 2
-        assert "ValueError" in outcomes[1].error
-
-    def test_serial_should_stop_marks_interrupted(self):
-        calls = []
-
-        def fn(item, attempt):
-            calls.append(item)
-            return item
-
-        config = ParallelConfig(max_workers=1)
-        outcomes = run_resilient(fn, [0, 1, 2], config,
-                                 should_stop=lambda: len(calls) >= 1)
-        assert outcomes[0].ok
-        assert {o.status for o in outcomes[1:]} == {"interrupted"}
-
-    def test_pool_retries_and_preserves_order(self):
-        config = ParallelConfig(max_workers=2, max_retries=2,
-                                backoff_base_s=0.0)
-        outcomes = run_resilient(_flaky, [0, 1, 2], config)
-        assert [o.value for o in outcomes] == [0, 10, 20]
-        assert all(o.ok for o in outcomes)
-        assert outcomes[2].attempts == 3
-
-    def test_pool_respawns_after_worker_death(self):
-        config = ParallelConfig(max_workers=2, max_retries=2,
-                                backoff_base_s=0.0)
-        outcomes = run_resilient(_crash_once, [0, 1, 2], config)
-        assert [o.value for o in outcomes] == [0, 10, 20]
-        assert all(o.ok for o in outcomes)
-        assert outcomes[1].attempts >= 2
-
-    def test_pool_quarantines_persistent_crasher(self):
-        def always(item, attempt):  # serial path: not picklable anyway
-            raise RuntimeError("never works")
-
-        config = ParallelConfig(max_workers=1, max_retries=1,
-                                backoff_base_s=0.0)
-        outcomes = run_resilient(always, [0], config)
-        assert outcomes[0].status == "quarantined"
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,7 @@ from repro.abr.state import StateFunction
 from repro.abr.video import synthetic_video
 from repro.analysis.experiments import ExperimentScale, build_environment
 from repro.core.evaluation import DesignTrainer, TestScoreProtocol, TrainingRun
-from repro.core.parallel import ParallelConfig, effective_workers, parallel_map
+from repro.core.parallel import ParallelConfig
 from repro.rl.a2c import A2CTrainer, evaluate_agent, evaluate_agent_batched
 from repro.rl.agent import ABRAgent
 from repro.rl.rollout import discounted_returns
@@ -205,31 +205,6 @@ class TestSerialParallelEquivalence:
         for score, runs in results:
             assert score == single_score
             assert len(runs) == len(protocol.seeds)
-
-
-class TestParallelMap:
-    def test_preserves_order_with_workers(self):
-        result = parallel_map(_square, list(range(8)),
-                              ParallelConfig(max_workers=2))
-        assert result == [x * x for x in range(8)]
-
-    def test_serial_path(self):
-        result = parallel_map(_square, [3, 4], ParallelConfig(max_workers=1))
-        assert result == [9, 16]
-
-    def test_effective_workers(self, monkeypatch):
-        assert effective_workers(1) == 1
-        assert effective_workers(4) == 4
-        assert effective_workers(-1) >= 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert effective_workers(None) == 3
-        monkeypatch.setenv("REPRO_WORKERS", "junk")
-        with pytest.warns(UserWarning):
-            assert effective_workers(None) == 1
-
-
-def _square(x):
-    return x * x
 
 
 class TestBatchedEvaluation:

@@ -135,7 +135,9 @@ class TestSchedulerEquivalence:
         from repro.core import evaluation, pipeline
         from repro.analysis import experiments
         for module in (evaluation, pipeline, experiments):
-            assert "parallel_map(" not in inspect.getsource(module)
+            source = inspect.getsource(module)
+            assert "run_resilient(" not in source
+            assert "RemoteExecutor(" not in source
 
 
 class TestCampaignDriver:

@@ -336,7 +336,7 @@ class TestContractLinter:
         (bad / "core").mkdir(parents=True)
         (bad / "core" / "busted.py").write_text(
             "import numpy as np\n"
-            "from .parallel import parallel_map\n\n"
+            "from .parallel import run_resilient\n\n"
             "_TURBO = False\n\n\n"
             "def draw():\n"
             "    return np.random.rand(4)\n\n\n"
@@ -347,8 +347,8 @@ class TestContractLinter:
             "    def job(item):\n"
             "        return item + 1\n"
             "    np.random.seed(0)\n"
-            "    parallel_map(job, items)\n"
-            "    parallel_map(lambda item: item, items)\n")
+            "    run_resilient(job, items)\n"
+            "    run_resilient(lambda item, attempt: item, items)\n")
         # A key builder hashing one engine setting instead of the engine.
         (bad / "core" / "results.py").write_text(
             "from .. import nn\n\n\n"
