@@ -207,14 +207,12 @@ class _Batch:
         self.fenced = 0
         self.requeued = 0
         self.heartbeat_timeouts = 0
-        self.job_timeouts = 0
         self.fallback_local = 0
 
     def stats(self) -> Dict[str, Any]:
         return {"dispatched": self.dispatched, "requeued": self.requeued,
                 "fenced": self.fenced,
                 "heartbeat_timeouts": self.heartbeat_timeouts,
-                "job_timeouts": self.job_timeouts,
                 "fallback_local": self.fallback_local,
                 #: Indices in acceptance order (tests assert arrival
                 #: shuffles do not leak into the submission-order merge).
@@ -646,7 +644,6 @@ class RemoteExecutor:
             for index, (name, _, started) in list(batch.running.items()):
                 worker = self._workers.get(name)
                 if job_timeout is not None and now - started > job_timeout:
-                    batch.job_timeouts += 1
                     telemetry.counter("rpc.job_timeout")
                     self._revoke_locked(
                         batch, index,

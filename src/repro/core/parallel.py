@@ -121,7 +121,7 @@ def effective_workers(max_workers: Optional[int] = None) -> int:
     return max(1, max_workers)
 
 
-def describe(exc: BaseException) -> str:
+def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -307,7 +307,7 @@ def run_serial(ledger: Ledger,
                              "interrupted mid-job")
             break
         except Exception as exc:  # noqa: BLE001 - isolation boundary
-            ledger.charge(index, describe(exc))
+            ledger.charge(index, _describe(exc))
         else:
             ledger.succeed(index, value)
     return ledger.results()

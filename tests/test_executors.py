@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -153,6 +154,30 @@ class TestFailureModelMatrix:
 
     def test_empty_batch(self):
         assert run_resilient(_work, [], ParallelConfig(max_workers=2)) == []
+
+    def test_unpicklable_work_is_quarantined_not_lost(self):
+        outcomes = run_resilient(lambda item, attempt: item, [1, 2],
+                                 ParallelConfig(max_workers=2, max_retries=1,
+                                                backoff_base_s=0.0))
+        assert [(o.status, o.attempts) for o in outcomes] == \
+            [("quarantined", 2)] * 2
+        assert all("unpicklable work item" in o.error for o in outcomes)
+
+    def test_more_workers_than_cores_lose_no_update(self):
+        """Four workers race through forty flaky items on the shared ledger,
+        with thread switches forced often on the coordinator side."""
+        items = [_Item(i, fails=i % 3) for i in range(40)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = run_resilient(_work, items,
+                                     ParallelConfig(max_workers=4,
+                                                    max_retries=2,
+                                                    backoff_base_s=0.0))
+        finally:
+            sys.setswitchinterval(previous)
+        assert [(o.status, o.attempts, o.value) for o in outcomes] == \
+            [("ok", i % 3 + 1, i * 10) for i in range(40)]
 
 
 # --------------------------------------------------------------------------- #
