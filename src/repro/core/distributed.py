@@ -618,6 +618,8 @@ class RemoteExecutor:
             return False
         worker.alive = False
         self._workers.pop(worker.name, None)
+        if self._closed:
+            return True  # an orderly exit after BYE, not a loss
         self.workers_lost += 1
         telemetry.counter("rpc.worker_lost")
         batch = self._batch
