@@ -317,7 +317,6 @@ class RemoteExecutor:
             if local_workers:
                 self._fork_workers(local_workers)
         except BaseException:
-            self._closed = True
             self._stop_procs(time.monotonic())
             self._server.close()
             raise
