@@ -10,7 +10,9 @@
 #                         src/repro plus the design auditor's self-check corpus
 #                         (equivalent to `repro lint --self`); fails on any
 #                         contract error or corpus deviation
-#   make campaign-smoke - multi-environment examples + CLI campaign at tiny scale
+#   make campaign-smoke - multi-environment examples + CLI campaign at tiny scale,
+#                         plus an early-stopping network campaign that must
+#                         early-stop at least one design
 #   make serve-smoke    - tiny fleet through `repro serve` with telemetry + Chrome
 #                         trace: validates the percentile/throughput JSON, the
 #                         trace file, and the serving section of `repro report`
@@ -52,7 +54,10 @@ bench-generated:
 # and the persistent result store (cold pass with telemetry + Chrome trace,
 # then warm replay).  The cold pass's `repro report` summary lands in
 # campaign-telemetry-summary.txt (uploaded as a CI artifact), and the trace
-# JSON is validated as loadable Chrome/Perfetto input.
+# JSON is validated as loadable Chrome/Perfetto input.  A last pass runs a
+# 4g network-design campaign with early stopping on (each seed of a design
+# trains in its own one-seed stack there) and fails unless its summary
+# reports at least one early-stopped design.
 campaign-smoke:
 	$(PYTHON) examples/cellular_5g_streaming.py --dataset-scale 0.02 --num-designs 3 --train-epochs 8 --num-chunks 6
 	$(PYTHON) examples/starlink_satellite_abr.py --dataset-scale 0.05 --num-designs 3 --train-epochs 8 --num-chunks 6
@@ -70,6 +75,14 @@ campaign-smoke:
 	    --checkpoint-interval 2 --num-seeds 1 --no-early-stopping \
 	    --store .campaign-smoke-store
 	rm -rf .campaign-smoke-store .campaign-smoke-telemetry .campaign-smoke-trace.json
+	$(PYTHON) -m repro campaign --environments 4g --target network \
+	    --num-designs 16 --num-seeds 2 --train-epochs 12 \
+	    --checkpoint-interval 4 --dataset-scale 0.02 --num-chunks 8 \
+	    > .campaign-smoke-early-stop.txt
+	cat .campaign-smoke-early-stop.txt
+	grep -Eq '^early stopped +: +[1-9]' .campaign-smoke-early-stop.txt || \
+	    { echo 'early-stopping pass stopped no design'; exit 1; }
+	rm -f .campaign-smoke-early-stop.txt
 
 # Serving smoke: a tiny fleet driven through `repro serve` with telemetry and
 # a Chrome trace, split over two shard processes.  The JSON output is

@@ -11,10 +11,10 @@ Run this module directly to measure the evaluation engine::
     PYTHONPATH=src python benchmarks/bench_scales.py --json benchmarks/BENCH_baseline.json
 
 Two A/B modes are available.  ``--mode multi-seed`` (committed report:
-``benchmarks/BENCH_multiseed.json``) compares the optimized per-seed engine
-against the multi-seed lockstep trainer on the paper's 5-seed protocol —
-same optimized substrate on both sides, only the training engine differs,
-and the scores must agree exactly.  The default ``--mode engine`` scores the
+``benchmarks/BENCH_multiseed.json``) compares one-seed stacks against one
+multi-seed stack on the paper's 5-seed protocol — same optimized substrate
+and trainer on both sides, only the seed batching differs, and the scores
+must agree exactly.  The default ``--mode engine`` scores the
 original Pensieve design plus a few generated designs under the §3.1
 protocol twice:
 
@@ -331,14 +331,15 @@ def run_multi_seed_benchmark(scale: Optional[ExperimentScale] = None,
                              dtype: str = "float32",
                              num_seeds: int = 5,
                              num_designs: int = DEFAULT_BENCH_DESIGNS) -> dict:
-    """A/B the per-seed optimized engine against the multi-seed lockstep engine.
+    """A/B one-seed stacks against one multi-seed stack.
 
     Both modes run the full optimized substrate (prefix-sum downloads, folded
-    inference, batched checkpoint evaluation); the only difference is the
-    training engine: ``num_seeds`` serial :class:`~repro.rl.a2c.A2CTrainer`
-    sessions versus one :class:`~repro.rl.a2c.MultiSeedA2CTrainer` advancing
-    every seed through stacked-weight batched updates.  The protocol is
-    seed-for-seed deterministic either way, so the report's
+    inference, batched checkpoint evaluation) and the same compiled trainer,
+    :class:`~repro.rl.a2c.MultiSeedA2CTrainer`; the only difference is the
+    batching: per-seed mode trains ``num_seeds`` one-seed stacks (one
+    singleton job per seed) one after another, lockstep mode one stack
+    advancing every seed through stacked-weight batched updates.  A seed's
+    record does not depend on its stack, so the report's
     ``max_score_delta`` is expected to be exactly 0.0.
     """
     scale = replace(scale or DEFAULT_BENCH_SCALE, num_seeds=num_seeds)
@@ -813,8 +814,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  "generated", "serving"],
                         default="engine",
                         help="engine: seed implementation vs optimized engine "
-                             "(default); multi-seed: per-seed optimized "
-                             "training vs the lockstep multi-seed trainer; "
+                             "(default); multi-seed: one-seed stacks vs "
+                             "one multi-seed stack; "
                              "campaign: flat per-seed fan-out vs the campaign "
                              "scheduler (lockstep jobs + result-store replay) "
                              "on a multi-environment workload; generated: "
@@ -942,7 +943,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{report['workload']['train_epochs']} epochs (fcc, "
               f"{report['workload']['dtype']})")
         print(f"per-seed mode : {per_seed['seconds']:8.3f} s  "
-              "(optimized engine, one training session per seed)")
+              "(one one-seed stack per seed)")
         print(f"lockstep mode : {lockstep['seconds']:8.3f} s  "
               "(stacked per-seed weights, batched fused updates)")
         print(f"speedup       : {report['speedup']:8.2f} x")

@@ -14,11 +14,11 @@ with either a small dense layer (scalar-like rows) or a 1-D convolution
 and critic heads.
 
 Every architecture runs on one fast engine, the kernel compiler
-(:mod:`repro.nn.compile`): :meth:`ActorCriticNetwork.policy_probs` and the
-fused training kernels go through :func:`~repro.nn.compile.plan_for` when
-the network lowers (Pensieve's branch bank as one folded GEMM, generated
-architectures op by op), and through the autograd graph otherwise or under
-``--no-compile``.
+(:mod:`repro.nn.compile`): :meth:`ActorCriticNetwork.policy_probs` goes
+through :func:`~repro.nn.compile.plan_for` when the network lowers
+(Pensieve's branch bank as one folded GEMM, generated architectures op by
+op), and through the autograd graph otherwise or under ``--no-compile``;
+training runs the same plan's stacked kernels.
 """
 
 from __future__ import annotations
@@ -104,20 +104,14 @@ class ActorCriticNetwork(nn.Module):
             probs = self.policy(nn.tensor(states))
         return probs.numpy()
 
-    def supports_fused_update(self) -> bool:
-        """Whether the trainer may use the compiled analytic forward/backward.
-
-        True when the kernel planner lowered this architecture;
-        ``--no-compile`` (``repro.nn.set_compilation(False)``) reverts every
-        architecture to the autograd graph reference.
-        """
-        return self.compiled_plan() is not None
-
     def fused_forward(self, states: np.ndarray):
-        """Compiled analytic forward through both towers.
+        """Compiled analytic forward through both towers, serial kernels.
 
         Returns ``(cache, logits, values)``; pass the cache (plus the loss
         gradients w.r.t. logits and values) to :meth:`fused_backward`.
+        Training runs the stacked kernels
+        (:class:`~repro.nn.compile.CompiledSeedStack`); this serial pair is
+        the oracle the equivalence suite checks them against.
         """
         plan = self.compiled_plan()
         if plan is None:

@@ -30,7 +30,7 @@ from ..core.scheduler import CampaignScheduler
 from ..core.prompts import PromptConfig
 from ..emulation.emulator import EmulationConfig, Emulator
 from ..llm.synthetic import SyntheticLLM
-from ..rl.a2c import A2CConfig, A2CTrainer, evaluate_agent
+from ..rl.a2c import A2CConfig, evaluate_agent, make_trainer
 from ..traces.base import TraceSet
 from ..traces.registry import ENVIRONMENTS, build_dataset
 from .curves import CurveComparison, TrainingCurve
@@ -382,9 +382,8 @@ def _run_emulation_comparison(environment: str, llm_profile: str,
     def train_agent(state_design: Optional[Design], seed: int):
         agent = instantiate_agent(state_design, None, setup.video,
                                   setup.train_traces, seed=seed)
-        a2c = A2CTrainer(agent, setup.video, setup.train_traces, qoe=setup.qoe,
-                         config=config.a2c, seed=seed)
-        a2c.train(config.train_epochs)
+        make_trainer([agent], setup.video, setup.train_traces, [seed],
+                     qoe=setup.qoe, config=config.a2c).train(config.train_epochs)
         sim_score = evaluate_agent(agent, setup.video, setup.test_traces,
                                    qoe=setup.qoe, greedy=True, seed=seed)
         return agent, sim_score
@@ -433,13 +432,14 @@ def _corpus_sample(args) -> DesignSampleFeatures:
     setup, config, design, seed, eval_seed = args
     agent = instantiate_agent(design, None, setup.video, setup.train_traces,
                               seed=seed)
-    trainer = A2CTrainer(agent, setup.video, setup.train_traces, qoe=setup.qoe,
-                         config=config.a2c, seed=seed)
+    trainer = make_trainer([agent], setup.video, setup.train_traces, [seed],
+                           qoe=setup.qoe, config=config.a2c)
     trainer.train(config.train_epochs)
     final_score = evaluate_agent(agent, setup.video, setup.test_traces,
                                  qoe=setup.qoe, greedy=True, seed=eval_seed)
     return DesignSampleFeatures(
-        reward_prefix=list(trainer.reward_history),
+        reward_prefix=[stats.episode_reward
+                       for stats in trainer.histories[0]],
         code=design.code,
         final_score=float(final_score),
     )

@@ -25,10 +25,11 @@ fail-the-build job.
     allowlist must name real ``EvaluationConfig`` fields.  Adding a field
     or toggle without updating the classification fails the build.
 ``repo.picklability``
-    Everything submitted to :func:`~repro.core.parallel.run_resilient`
-    must survive pickling to reach a worker process: no lambdas, no
-    functions defined inside another function (PR 7's
-    silent serial-downgrade came from exactly this).
+    Every callable submitted to :func:`~repro.core.parallel.run_resilient`
+    or :meth:`~repro.core.scheduler.CampaignScheduler.map_items` must
+    survive pickling to reach a worker process: no lambdas, no functions
+    defined inside another function (an unpicklable job once downgraded a
+    parallel batch to serial execution without a word).
 ``repo.telemetry-noop``
     The module-level telemetry helpers (``span``/``counter``/``series``)
     must not allocate on the disabled path: read ``_ACTIVE`` into a local,
@@ -319,7 +320,7 @@ def _check_store_keys(root: Path,
 # --------------------------------------------------------------------------- #
 # repo.picklability
 # --------------------------------------------------------------------------- #
-_POOL_ENTRY_POINTS = ("run_resilient",)
+_POOL_ENTRY_POINTS = ("run_resilient", "map_items")
 
 
 def _nested_function_names(tree: ast.Module) -> Set[str]:

@@ -5,9 +5,9 @@ This module implements:
 * :func:`instantiate_agent` — turn a (state design, network design) pair into
   a runnable :class:`~repro.rl.agent.ABRAgent` (either side may be ``None``,
   meaning "use the original Pensieve component");
-* :class:`DesignTrainer` — train one design in the chunk-level simulator,
-  recording the per-episode training rewards and periodic checkpoint test
-  scores, with optional early stopping;
+* :class:`DesignTrainer` — train one design's seeds in the chunk-level
+  simulator, recording the per-episode training rewards and periodic
+  checkpoint test scores, with optional early stopping;
 * :class:`TestScoreProtocol` — the paper's scoring rule: five independent
   training sessions with different seeds, the average of the last ten
   checkpoint scores within each session, and the median across sessions.
@@ -16,7 +16,7 @@ This module implements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from ..abr.networks import original_network_builder
 from ..abr.qoe import LinearQoE, QoEMetric
 from ..abr.state import StateFunction
 from ..abr.video import Video
-from ..rl.a2c import (A2CConfig, A2CTrainer, MultiSeedA2CTrainer,
-                      TRAINING_METRIC_NAMES, evaluate_agent)
+from ..rl.a2c import (A2CConfig, EpochStats, MultiSeedA2CTrainer,
+                      TRAINING_METRIC_NAMES, make_trainer)
 from ..rl.agent import ABRAgent
 from ..traces.base import TraceSet
 from .codegen import load_network_builder, load_state_function
@@ -143,7 +143,14 @@ def instantiate_agent(state_design: Optional[Design],
 
 
 class DesignTrainer:
-    """Trains one design for one seed, with checkpointing and early stopping."""
+    """Trains one design's seeds, with checkpointing and early stopping.
+
+    One epoch/checkpoint/early-stop loop (:meth:`_train`) drives whichever
+    engine :func:`~repro.rl.a2c.make_trainer` picks: a compiled seed stack
+    (:class:`~repro.rl.a2c.MultiSeedA2CTrainer`) for networks the kernel
+    planner lowers, the autograd reference
+    (:class:`~repro.rl.a2c.A2CTrainer`) per seed otherwise.
+    """
 
     def __init__(self, video: Video, train_traces: TraceSet, test_traces: TraceSet,
                  config: Optional[EvaluationConfig] = None,
@@ -158,97 +165,49 @@ class DesignTrainer:
     def run(self, state_design: Optional[Design], network_design: Optional[Design],
             seed: int,
             early_stopping: Optional[RewardTrajectoryClassifier] = None,
-            early_stop_check_epoch: Optional[int] = None) -> TrainingRun:
-        """Train the design for one seed and return the full training record.
+            ) -> TrainingRun:
+        """Train the design for one seed: ``run_seeds(..., [seed])[0]``."""
+        return self.run_seeds(state_design, network_design, [seed],
+                              early_stopping=early_stopping)[0]
 
-        If ``early_stopping`` is provided, the classifier is consulted once the
-        training-reward prefix reaches ``early_stop_check_epoch`` episodes (or
-        the classifier's own prefix length); an unpromising design's training
-        is truncated at that point.
-        """
-        cfg = self.config
-        agent = instantiate_agent(state_design, network_design, self.video,
-                                  self.train_traces, seed=seed)
-        trainer = A2CTrainer(agent, self.video, self.train_traces, qoe=self.qoe,
-                             config=cfg.a2c, simulator_config=cfg.simulator,
-                             seed=seed)
-        check_epoch = early_stop_check_epoch
-        if early_stopping is not None and check_epoch is None:
-            check_epoch = early_stopping.config.reward_prefix_length
-
-        checkpoint_epochs: List[int] = []
-        checkpoint_scores: List[float] = []
-        metric_series: Dict[str, List[float]] = {
-            name: [] for name in TRAINING_METRIC_NAMES}
-        early_stopped = False
-
-        for epoch in range(1, cfg.train_epochs + 1):
-            trainer.train_epoch()
-            if early_stopping is not None and epoch == check_epoch:
-                if early_stopping.should_stop(trainer.reward_history):
-                    early_stopped = True
-                    break
-            if epoch % cfg.checkpoint_interval == 0:
-                score = evaluate_agent(agent, self.video, self.test_traces,
-                                       qoe=self.qoe,
-                                       simulator_config=cfg.simulator,
-                                       greedy=cfg.greedy_evaluation,
-                                       seed=seed,
-                                       batched=cfg.batched_evaluation)
-                checkpoint_epochs.append(epoch)
-                checkpoint_scores.append(score)
-                for name, value in trainer.checkpoint_metrics().items():
-                    metric_series[name].append(value)
-
-        return TrainingRun(
-            seed=seed,
-            reward_history=list(trainer.reward_history),
-            checkpoint_epochs=checkpoint_epochs,
-            checkpoint_scores=checkpoint_scores,
-            early_stopped=early_stopped,
-            last_k_checkpoints=cfg.last_k_checkpoints,
-            checkpoint_metrics=metric_series,
-        )
-
-    # ------------------------------------------------------------------ #
     def run_seeds(self, state_design: Optional[Design],
                   network_design: Optional[Design],
                   seeds: Sequence[int],
                   early_stopping: Optional[RewardTrajectoryClassifier] = None,
                   ) -> List[TrainingRun]:
-        """Train the design for every seed, in lockstep when possible.
+        """Train the design for every seed; one record per seed, in order.
 
-        Dispatches to the multi-seed lockstep engine
-        (:class:`~repro.rl.a2c.MultiSeedA2CTrainer`: stacked per-seed
-        weights, batched fused updates) when more than one seed is
-        requested, no early-stopping classifier is attached (per-seed early
-        stops would desynchronize the lockstep), and the instantiated
-        networks support stacked fused updates — the original Pensieve
-        network or any generated design the kernel compiler can lower.
-        Otherwise every seed runs through :meth:`run`, the per-seed
-        reference.  Both paths produce identical records seed for seed.
+        Without early stopping, a design whose networks lower trains all
+        seeds in one compiled stack.  With an early-stopping classifier,
+        each seed trains in its own one-seed stack, since its stop decision
+        is its own; a design that does not lower (or ``--no-compile``)
+        trains each seed through the autograd reference.  A seed's record
+        is the same in any of these batchings.
 
         This is also the campaign scheduler's worker entry point: one
         scheduled job trains one design's whole seed batch here, inside a
-        single worker process, so lockstep training composes with the
+        single worker process, so the stacked engine composes with the
         across-design process fan-out instead of competing with it.
         """
-        if early_stopping is None and len(seeds) > 1:
-            agents = [instantiate_agent(state_design, network_design,
-                                        self.video, self.train_traces,
-                                        seed=seed) for seed in seeds]
-            if MultiSeedA2CTrainer.supports([a.network for a in agents]):
-                return self._run_lockstep(agents, list(seeds))
-        return [self.run(state_design, network_design, seed=seed,
-                         early_stopping=early_stopping) for seed in seeds]
+        agents = [instantiate_agent(state_design, network_design, self.video,
+                                    self.train_traces, seed=seed)
+                  for seed in seeds]
+        if early_stopping is None and MultiSeedA2CTrainer.supports(
+                [agent.network for agent in agents]):
+            batches = [(agents, list(seeds))]
+        else:
+            batches = [([agent], [seed]) for agent, seed in zip(agents, seeds)]
+        return [run for batch_agents, batch_seeds in batches
+                for run in self._train(batch_agents, batch_seeds,
+                                       early_stopping)]
 
     def supports_lockstep(self, state_design: Optional[Design],
                           network_design: Optional[Design]) -> bool:
-        """Whether :meth:`run_seeds` would train this design in lockstep.
+        """Whether :meth:`run_seeds` would train this design's seeds in one stack.
 
         The campaign scheduler consults this before splitting a multi-seed
-        job into per-seed work items: lockstep-capable jobs stay whole so
-        the stacked engine applies inside their worker, while designs the
+        job into per-seed work items: stackable jobs stay whole so the
+        stacked engine applies inside their worker, while designs the
         kernel planner cannot lower gain worker-level seed parallelism
         instead.  Instantiation failures report False — the job itself will
         surface the real error when it runs.
@@ -260,46 +219,57 @@ class DesignTrainer:
             return False
         return MultiSeedA2CTrainer.supports([agent.network])
 
-    def _run_lockstep(self, agents: Sequence[ABRAgent],
-                      seeds: List[int]) -> List[TrainingRun]:
-        """Train all seeds through :class:`MultiSeedA2CTrainer`.
+    def _train(self, agents: Sequence[ABRAgent], seeds: List[int],
+               early_stopping: Optional[RewardTrajectoryClassifier],
+               ) -> List[TrainingRun]:
+        """The epoch/checkpoint/early-stop loop over one trainer's seeds.
 
-        Mirrors the :meth:`run` schedule — same epochs, same checkpoint
-        cadence, same evaluation calls — with every seed advanced together.
+        With ``early_stopping`` the trainer holds one seed: the classifier
+        is consulted once the training-reward prefix reaches its
+        ``reward_prefix_length`` episodes, and an unpromising seed's
+        training is truncated there, before that epoch's checkpoint.
         """
         cfg = self.config
-        trainer = MultiSeedA2CTrainer(agents, self.video, self.train_traces,
-                                      qoe=self.qoe, config=cfg.a2c,
-                                      simulator_config=cfg.simulator,
-                                      seeds=seeds)
+        trainer = make_trainer(agents, self.video, self.train_traces, seeds,
+                               qoe=self.qoe, config=cfg.a2c,
+                               simulator_config=cfg.simulator)
         checkpoint_epochs: List[int] = []
-        checkpoint_scores: List[List[float]] = [[] for _ in seeds]
-        metric_series: List[Dict[str, List[float]]] = [
+        scores: List[List[float]] = [[] for _ in seeds]
+        metrics: List[Dict[str, List[float]]] = [
             {name: [] for name in TRAINING_METRIC_NAMES} for _ in seeds]
+        early_stopped = False
         for epoch in range(1, cfg.train_epochs + 1):
             trainer.train_epoch()
+            if (early_stopping is not None
+                    and epoch == early_stopping.config.reward_prefix_length
+                    and early_stopping.should_stop(
+                        _rewards(trainer.histories[0]))):
+                early_stopped = True
+                break
             if epoch % cfg.checkpoint_interval == 0:
-                scores = trainer.evaluate_checkpoint(
-                    self.test_traces, greedy=cfg.greedy_evaluation,
-                    batched=cfg.batched_evaluation)
                 checkpoint_epochs.append(epoch)
-                for per_seed, score in zip(checkpoint_scores, scores):
+                for per_seed, score in zip(scores, trainer.evaluate_checkpoint(
+                        self.test_traces, greedy=cfg.greedy_evaluation,
+                        batched=cfg.batched_evaluation)):
                     per_seed.append(score)
-                for per_seed_metrics, metrics in zip(
-                        metric_series, trainer.checkpoint_metrics()):
-                    for name, value in metrics.items():
-                        per_seed_metrics[name].append(value)
+                for series, history in zip(metrics, trainer.histories):
+                    for name in TRAINING_METRIC_NAMES:
+                        series[name].append(getattr(history[-1], name))
         return [TrainingRun(
                     seed=seed,
-                    reward_history=list(rewards),
+                    reward_history=_rewards(history),
                     checkpoint_epochs=list(checkpoint_epochs),
-                    checkpoint_scores=scores,
-                    early_stopped=False,
+                    checkpoint_scores=seed_scores,
+                    early_stopped=early_stopped,
                     last_k_checkpoints=cfg.last_k_checkpoints,
-                    checkpoint_metrics=metrics,
-                ) for seed, rewards, scores, metrics in zip(
-                    seeds, trainer.reward_histories, checkpoint_scores,
-                    metric_series)]
+                    checkpoint_metrics=series,
+                ) for seed, history, seed_scores, series in zip(
+                    seeds, trainer.histories, scores, metrics)]
+
+
+def _rewards(history: Sequence[EpochStats]) -> List[float]:
+    """The episode-reward trajectory the early-stopping classifier reads."""
+    return [stats.episode_reward for stats in history]
 
 
 class TestScoreProtocol:

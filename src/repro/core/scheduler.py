@@ -405,14 +405,14 @@ class CampaignScheduler:
     def _splits_without_cost(self, job: EvaluationJob) -> bool:
         """True when per-seed fan-out cannot lose lockstep batching.
 
-        Jobs whose training falls to the per-seed path regardless — an
-        early-stopping classifier attached, or a design the kernel compiler
-        cannot lower (every design, the original Pensieve included, under
-        ``--no-compile``) — gain worker-level seed parallelism by splitting
-        into singleton seed batches; records are identical either way
-        because the per-seed path is exactly what runs inside the whole
-        batch.  Lockstep-eligible jobs stay whole so the stacked engine
-        applies inside their worker.
+        Jobs that train seed by seed regardless — an early-stopping
+        classifier attached (one one-seed stack per seed), or a design the
+        kernel compiler cannot lower (the autograd reference per seed; every
+        design, the original Pensieve included, under ``--no-compile``) —
+        gain worker-level seed parallelism by splitting into singleton seed
+        batches; records are identical either way because the singleton
+        batch is exactly what runs inside the whole one.  Stackable jobs
+        stay whole so the stacked engine applies inside their worker.
         """
         return len(job.seeds) > 1 and (job.early_stopping is not None
                                        or not self._design_locksteps(job))

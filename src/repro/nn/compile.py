@@ -1,11 +1,9 @@
 """Fused-kernel compiler: the one fast engine for every actor-critic network.
 
 The repository's fast engines — the inference path behind
-:meth:`~repro.abr.networks.ActorCriticNetwork.policy_probs`, the analytic
-fused forward/backward used by :class:`~repro.rl.a2c.A2CTrainer` and the
-stacked multi-seed lockstep engine behind
-:class:`~repro.rl.a2c.MultiSeedA2CTrainer` — all run on the kernels planned
-here, for the original Pensieve network (its per-row Conv1D/Dense branch
+:meth:`~repro.abr.networks.ActorCriticNetwork.policy_probs` and the stacked
+training engine behind :class:`~repro.rl.a2c.MultiSeedA2CTrainer` (one seed
+or many) — run on the kernels planned here, for the original Pensieve network (its per-row Conv1D/Dense branch
 bank folded into one GEMM, paper Figure 2) and for *any* network assembled
 from the design-space vocabulary (``Dense``, ``Conv1D``, ``Flatten``,
 ``LayerNorm``, ``Dropout``, ``Recurrent`` rnn/gru/lstm cells, ``Sequential``
@@ -1038,12 +1036,12 @@ class _ActorInference:
 class CompiledPlan:
     """Fused kernels for one actor-critic network.
 
-    The plan provides three engines: the analytic serial
-    ``fused_forward``/``fused_backward`` pair consumed by
-    :class:`~repro.rl.a2c.A2CTrainer`, the inference ``policy_probs`` path
-    (the cached context from :meth:`inference`), and — through
-    :class:`CompiledSeedStack` — the stacked per-seed variant for the
-    multi-seed lockstep trainer.
+    The plan provides the inference ``policy_probs`` path (the cached
+    context from :meth:`inference`), the stacked training kernels that
+    :class:`CompiledSeedStack` runs for
+    :class:`~repro.rl.a2c.MultiSeedA2CTrainer`, and the analytic serial
+    ``fused_forward``/``fused_backward`` pair, the oracle the equivalence
+    suite checks the stacked kernels against.
     """
 
     def __init__(self, network) -> None:

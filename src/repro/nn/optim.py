@@ -55,8 +55,9 @@ def clip_grad_norm_stacked(parameters: Sequence[Parameter],
     :func:`clip_grad_norm` applied to each seed's unstacked parameter list.
     The per-slice ``np.vdot`` accumulation deliberately mirrors the serial
     implementation operation for operation (BLAS dot per parameter, Python
-    float sum across parameters) so the clipped gradients are bit-identical
-    to the serial trainer's, not merely close.
+    float sum across parameters) so each seed's clipped gradients are
+    bit-identical to :func:`clip_grad_norm` on its own parameters, whatever
+    the stack size.
 
     Returns the ``(seeds,)`` array of pre-clip norms.
     """

@@ -9,8 +9,8 @@ value update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,22 +22,17 @@ from ..abr.video import Video
 from ..traces.base import TraceSet
 from .agent import ABRAgent
 from .policy import action_entropy, log_prob_of
-from .rollout import Trajectory, collect_episode, discounted_returns
+from .rollout import collect_episode, discounted_returns
 from .schedules import ConstantSchedule, LinearSchedule
 
 __all__ = ["A2CConfig", "EpochStats", "A2CTrainer", "MultiSeedA2CTrainer",
-           "TRAINING_METRIC_NAMES",
+           "TRAINING_METRIC_NAMES", "make_trainer",
            "evaluate_agent", "evaluate_agent_batched"]
 
-#: The scalar training metrics snapshotted at every checkpoint and attached
-#: to :class:`~repro.core.evaluation.TrainingRun` (one series per name,
-#: aligned with ``checkpoint_epochs``).
+#: The scalar training metrics (:class:`EpochStats` fields) snapshotted at
+#: every checkpoint and attached to :class:`~repro.core.evaluation.TrainingRun`
+#: (one series per name, aligned with ``checkpoint_epochs``).
 TRAINING_METRIC_NAMES = ("entropy", "actor_loss", "critic_loss", "grad_norm")
-
-
-def _stats_metrics(stats: "EpochStats") -> "Dict[str, float]":
-    return {"entropy": stats.entropy, "actor_loss": stats.actor_loss,
-            "critic_loss": stats.critic_loss, "grad_norm": stats.grad_norm}
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class A2CConfig:
 
 @dataclass
 class EpochStats:
-    """Per-epoch training metrics returned by :meth:`A2CTrainer.train_epoch`."""
+    """Per-epoch, per-seed training metrics returned by ``train_epoch``."""
 
     epoch: int
     episode_reward: float
@@ -118,8 +113,34 @@ def _actor_critic_groups(network, config: A2CConfig,
     return groups
 
 
+def _entropy_schedule(config: A2CConfig):
+    if config.entropy_anneal_epochs > 0:
+        return LinearSchedule(config.entropy_weight_start,
+                              config.entropy_weight_end,
+                              config.entropy_anneal_epochs)
+    return ConstantSchedule(config.entropy_weight_start)
+
+
+def _epoch_stats(epoch: int, rewards: Sequence[float], trace_name: str,
+                 actor_loss, critic_loss, entropy, grad_norm) -> EpochStats:
+    total = float(sum(rewards))
+    return EpochStats(epoch=epoch, episode_reward=total,
+                      mean_chunk_reward=total / max(len(rewards), 1),
+                      actor_loss=float(actor_loss),
+                      critic_loss=float(critic_loss), entropy=float(entropy),
+                      grad_norm=float(grad_norm), trace_name=trace_name)
+
+
 class A2CTrainer:
-    """Trains an :class:`ABRAgent` with synchronous advantage actor-critic."""
+    """The autograd reference trainer: one seed, one graph update per epoch.
+
+    Trains an :class:`ABRAgent` through ``loss.backward()`` on the network's
+    autograd graph.  Compiled training is :class:`MultiSeedA2CTrainer`'s,
+    for one seed or many; :func:`make_trainer` picks this class only for
+    networks the kernel planner cannot stack (or under ``--no-compile``).
+    It answers the same per-seed reads as a one-seed stack (``histories``,
+    :meth:`evaluate_checkpoint`), so one training loop drives either.
+    """
 
     def __init__(self, agent: ABRAgent, video: Video, train_traces: TraceSet,
                  qoe: Optional[QoEMetric] = None,
@@ -132,22 +153,21 @@ class A2CTrainer:
         self.qoe = qoe or LinearQoE(video.bitrates_kbps)
         self.config = config or A2CConfig()
         self.simulator_config = simulator_config
+        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self.agent.seed(int(self._rng.integers(2 ** 31)))
         groups = _actor_critic_groups(self.agent.network, self.config)
         self._optimizer = _make_optimizer(self.config.optimizer, groups,
                                           self.config.actor_lr)
-        cfg = self.config
-        if cfg.entropy_anneal_epochs > 0:
-            self._entropy_schedule = LinearSchedule(
-                cfg.entropy_weight_start, cfg.entropy_weight_end,
-                cfg.entropy_anneal_epochs)
-        else:
-            self._entropy_schedule = ConstantSchedule(cfg.entropy_weight_start)
+        self._entropy_schedule = _entropy_schedule(self.config)
         self.epoch = 0
         self.history: List[EpochStats] = []
 
-    # ------------------------------------------------------------------ #
+    @property
+    def histories(self) -> List[List[EpochStats]]:
+        """``[history]``: the per-seed read of a one-seed stack."""
+        return [self.history]
+
     @property
     def reward_history(self) -> List[float]:
         """Episode rewards of every epoch trained so far.
@@ -156,15 +176,6 @@ class A2CTrainer:
         classifier consumes (§2.2 of the paper).
         """
         return [stats.episode_reward for stats in self.history]
-
-    def checkpoint_metrics(self) -> Dict[str, float]:
-        """Latest epoch's scalar training metrics, for checkpoint snapshots.
-
-        Keys are :data:`TRAINING_METRIC_NAMES`; NaN before the first epoch.
-        """
-        if not self.history:
-            return {name: float("nan") for name in TRAINING_METRIC_NAMES}
-        return _stats_metrics(self.history[-1])
 
     # ------------------------------------------------------------------ #
     def train_epoch(self) -> EpochStats:
@@ -175,7 +186,13 @@ class A2CTrainer:
             self.agent, self.video, trace, qoe=self.qoe,
             config=self.simulator_config, rng=self._rng,
             start_offset_s=start_offset)
-        stats = self._update(trajectory, trace.name)
+        losses = self._graph_update(
+            trajectory.stacked_states(),
+            np.asarray(trajectory.actions, dtype=np.int64),
+            discounted_returns(trajectory.rewards, self.config.gamma),
+            self._entropy_schedule(self.epoch))
+        stats = _epoch_stats(self.epoch, trajectory.rewards, trace.name,
+                             *losses)
         self.epoch += 1
         self.history.append(stats)
         return stats
@@ -191,31 +208,15 @@ class A2CTrainer:
                 callback(stats)
         return stats_list
 
+    def evaluate_checkpoint(self, traces: TraceSet, greedy: bool = True,
+                            batched: bool = True) -> List[float]:
+        """``[evaluate_agent(...)]`` for this seed, like a one-seed stack."""
+        return [evaluate_agent(self.agent, self.video, traces, qoe=self.qoe,
+                               simulator_config=self.simulator_config,
+                               greedy=greedy, seed=self.seed,
+                               batched=batched)]
+
     # ------------------------------------------------------------------ #
-    def _update(self, trajectory: Trajectory, trace_name: str) -> EpochStats:
-        actions = np.asarray(trajectory.actions, dtype=np.int64)
-        returns = discounted_returns(trajectory.rewards, self.config.gamma)
-        entropy_weight = self._entropy_schedule(self.epoch)
-        network = self.agent.network
-
-        if network.supports_fused_update():
-            actor_loss, critic_loss, entropy, grad_norm = self._fused_update(
-                trajectory.stacked_states(), actions, returns, entropy_weight)
-        else:
-            actor_loss, critic_loss, entropy, grad_norm = self._graph_update(
-                trajectory.stacked_states(), actions, returns, entropy_weight)
-
-        return EpochStats(
-            epoch=self.epoch,
-            episode_reward=trajectory.total_reward,
-            mean_chunk_reward=trajectory.mean_reward,
-            actor_loss=float(actor_loss),
-            critic_loss=float(critic_loss),
-            entropy=float(entropy),
-            grad_norm=float(grad_norm),
-            trace_name=trace_name,
-        )
-
     def _graph_update(self, states_array: np.ndarray, actions: np.ndarray,
                       returns: np.ndarray, entropy_weight: float):
         """One actor-critic update through the autograd graph."""
@@ -239,52 +240,6 @@ class A2CTrainer:
         self._optimizer.step()
         return (float(actor_loss.item()), float(critic_loss.item()),
                 float(entropy.item()), float(grad_norm))
-
-    def _fused_update(self, states_array: np.ndarray, actions: np.ndarray,
-                      returns: np.ndarray, entropy_weight: float):
-        """One actor-critic update via the network's analytic fast path.
-
-        Computes the same losses and gradients as :meth:`_graph_update`
-        (verified against it in the test suite) with hand-derived loss
-        gradients instead of an autograd graph:
-
-        * actor: ``d logits = -(adv / B) * (onehot(a) - softmax)``
-        * entropy bonus: ``d logits = (w_e / B) * p * (log p + H)``
-        * critic: ``d value = c_v * 2/B * (v - R)``
-        """
-        network = self.agent.network
-        cache, logits, values = network.fused_forward(states_array)
-        batch = logits.shape[0]
-        # Stay in the network dtype end to end: a float64 returns vector would
-        # silently upcast every gradient GEMM below.
-        returns = np.asarray(returns, dtype=logits.dtype)
-        advantages = returns - values
-
-        # Stable log-softmax / softmax from the raw logits.
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        probs = np.exp(log_probs)
-        picked = log_probs[np.arange(batch), actions]
-        row_entropy = -(probs * log_probs).sum(axis=-1)
-
-        actor_loss = -float(np.mean(picked * advantages))
-        critic_loss = float(np.mean((values - returns) ** 2))
-        entropy = float(np.mean(row_entropy))
-
-        one_hot = np.zeros_like(probs)
-        one_hot[np.arange(batch), actions] = 1.0
-        d_logits = (-(advantages[:, None] / batch) * (one_hot - probs)
-                    + (entropy_weight / batch) * probs
-                    * (log_probs + row_entropy[:, None]))
-        d_values = (self.config.value_loss_coefficient * 2.0 / batch
-                    * (values - returns))
-
-        self._optimizer.zero_grad()
-        network.fused_backward(cache, d_logits, d_values)
-        grad_norm = nn.clip_grad_norm(network.parameters(),
-                                      self.config.max_grad_norm)
-        self._optimizer.step()
-        return actor_loss, critic_loss, entropy, float(grad_norm)
 
 
 def evaluate_agent(agent: ABRAgent, video: Video, traces: TraceSet,
@@ -384,26 +339,27 @@ def evaluate_agent_batched(agent: ABRAgent, video: Video, traces: TraceSet,
 
 
 class MultiSeedA2CTrainer:
-    """Trains every seed's session of one design simultaneously, in lockstep.
+    """The compiled trainer: every seed of one design on one weight stack.
 
     The §3.1 protocol trains each design ``num_seeds`` times with different
-    seeds; serially that is ``num_seeds`` full :class:`A2CTrainer` loops.
-    This trainer stacks the per-seed network weights into 3-D tensors
-    (:class:`~repro.nn.compile.CompiledSeedStack`, for the original Pensieve
-    architecture and every generated design-space architecture the kernel
-    planner lowers) and runs all
-    sessions together: per round, each seed samples its own trace/offset
-    from its own RNG stream, the per-chunk policy forwards batch across
-    seeds, and one batched fused forward/backward plus a stacked in-place
-    optimizer step replaces ``num_seeds`` separate updates.
+    seeds.  This trainer stacks the per-seed network weights into
+    ``(seeds, *shape)`` arrays (:class:`~repro.nn.compile.CompiledSeedStack`,
+    for the original Pensieve architecture and every generated design-space
+    architecture the kernel planner lowers) and trains the seeds together:
+    per round, each seed samples its own trace/offset from its own RNG
+    stream and plays its episode, then one batched fused forward/backward
+    and a stacked in-place optimizer step update every seed.  A one-seed
+    stack is how a single seed trains on the compiled engine.
 
-    Seed-for-seed equivalence with the serial trainer is a hard contract, not
-    an approximation: every seed keeps the exact RNG streams (trace sampling,
-    start offsets, action sampling, bandwidth noise) and the stacked kernels
-    are bit-compatible with the serial fused kernels, so trace choices and
-    action sequences are identical and weights agree to float round-off.
-    Architectures the stack cannot express should use :class:`A2CTrainer`
-    per seed (check :meth:`supports` first).
+    Seed independence is a hard contract: every seed keeps its own RNG
+    streams (trace sampling, start offsets, action sampling, bandwidth
+    noise) and each seed's slice of every kernel is computed with the same
+    BLAS calls whatever the stack size, so one seed trained in an
+    ``n``-seed stack equals that seed trained alone, bit for bit.  The
+    autograd reference :class:`A2CTrainer` agrees to float round-off.
+    Architectures the stack cannot express train per seed through
+    :class:`A2CTrainer` (check :meth:`supports` first, or use
+    :func:`make_trainer`).
     """
 
     def __init__(self, agents: Sequence[ABRAgent], video: Video,
@@ -433,8 +389,8 @@ class MultiSeedA2CTrainer:
         networks = [agent.network for agent in self.agents]
         if not nn.CompiledSeedStack.compatible(networks):
             raise ValueError(
-                "agents' networks cannot train in lockstep (no fused update "
-                "support or mismatched architectures); train each seed with "
+                "agents' networks cannot share a compiled stack (they do not "
+                "lower or their architectures differ); train each seed with "
                 "A2CTrainer instead")
         self.stack = nn.CompiledSeedStack(networks)
         groups = _actor_critic_groups(networks[0], self.config,
@@ -442,13 +398,7 @@ class MultiSeedA2CTrainer:
         self._optimizer = _make_stacked_optimizer(self.config.optimizer,
                                                   groups,
                                                   self.config.actor_lr)
-        cfg = self.config
-        if cfg.entropy_anneal_epochs > 0:
-            self._entropy_schedule = LinearSchedule(
-                cfg.entropy_weight_start, cfg.entropy_weight_end,
-                cfg.entropy_anneal_epochs)
-        else:
-            self._entropy_schedule = ConstantSchedule(cfg.entropy_weight_start)
+        self._entropy_schedule = _entropy_schedule(self.config)
         self.epoch = 0
         self.histories: List[List[EpochStats]] = [[] for _ in self.agents]
         # When every agent uses the trusted original state function, the
@@ -467,31 +417,19 @@ class MultiSeedA2CTrainer:
     # ------------------------------------------------------------------ #
     @staticmethod
     def supports(networks) -> bool:
-        """Whether these networks can train through the lockstep engine.
+        """Whether these networks train on the compiled engine, as one stack.
 
-        True for the original Pensieve architecture and for any generated
-        design-space architecture the kernel planner can lower
-        (:class:`~repro.nn.compile.CompiledSeedStack`); False for mixed
-        architectures, exotic codegen output or ``--no-compile``, which
-        train per seed through the graph reference path.
+        The one engine test.  True for the original Pensieve architecture
+        and for any generated design-space architecture the kernel planner
+        can lower (:class:`~repro.nn.compile.CompiledSeedStack`); False for
+        mixed architectures, exotic codegen output, stochastic dropout or
+        ``--no-compile``, which train per seed through :class:`A2CTrainer`.
         """
         return nn.CompiledSeedStack.compatible(list(networks))
 
     @property
     def num_seeds(self) -> int:
         return len(self.agents)
-
-    @property
-    def reward_histories(self) -> List[List[float]]:
-        """Per-seed episode-reward trajectories (cf. ``A2CTrainer.reward_history``)."""
-        return [[stats.episode_reward for stats in history]
-                for history in self.histories]
-
-    def checkpoint_metrics(self) -> List[Dict[str, float]]:
-        """Per-seed latest-epoch training metrics (cf. ``A2CTrainer``)."""
-        return [_stats_metrics(history[-1]) if history
-                else {name: float("nan") for name in TRAINING_METRIC_NAMES}
-                for history in self.histories]
 
     # ------------------------------------------------------------------ #
     def _run_seed_episode(self, index: int, session: StreamingSession,
@@ -502,8 +440,8 @@ class MultiSeedA2CTrainer:
         so each seed's ~1.6 MB actor tower stays hot in L2 across its
         consecutive decisions (interleaving seeds per chunk would cycle the
         full multi-seed weight bank through cache every round).  This is
-        also exactly the serial trainer's execution order, so each seed's
-        RNG stream is consumed identically.
+        also the order in which :class:`A2CTrainer` plays one seed, so each
+        seed's RNG stream is consumed identically.
         """
         agent = self.agents[index]
         states = self._states_buffer[index]
@@ -542,13 +480,14 @@ class MultiSeedA2CTrainer:
             self._run_seed_episode(index, session, actions_per_seed[index],
                                    rewards_per_seed[index])
 
-        stacked_states = self._states_buffer
-        actions = np.asarray(actions_per_seed, dtype=np.int64)
-        returns = np.stack([discounted_returns(rewards, self.config.gamma)
-                            for rewards in rewards_per_seed], axis=0)
-        entropy_weight = self._entropy_schedule(self.epoch)
-        stats = self._fused_update(stacked_states, actions, returns,
-                                   entropy_weight, traces, rewards_per_seed)
+        losses = self._fused_update(
+            self._states_buffer, np.asarray(actions_per_seed, dtype=np.int64),
+            np.stack([discounted_returns(rewards, self.config.gamma)
+                      for rewards in rewards_per_seed], axis=0),
+            self._entropy_schedule(self.epoch))
+        stats = [_epoch_stats(self.epoch, rewards, trace.name, *seed_losses)
+                 for trace, rewards, seed_losses
+                 in zip(traces, rewards_per_seed, zip(*losses))]
         self.epoch += 1
         for history, seed_stats in zip(self.histories, stats):
             history.append(seed_stats)
@@ -568,22 +507,31 @@ class MultiSeedA2CTrainer:
 
     # ------------------------------------------------------------------ #
     def _fused_update(self, states: np.ndarray, actions: np.ndarray,
-                      returns: np.ndarray, entropy_weight: float,
-                      traces, rewards_per_seed) -> List[EpochStats]:
-        """Stacked twin of :meth:`A2CTrainer._fused_update`.
+                      returns: np.ndarray, entropy_weight: float):
+        """One analytic actor-critic update of every seed.
 
-        Identical loss arithmetic with one leading seed axis; per-seed
-        slices match the serial update bit for bit (batched GEMMs resolve
-        each seed with the same BLAS calls, elementwise math is
+        Computes the losses and gradients of :meth:`A2CTrainer._graph_update`
+        with hand-derived loss gradients and one leading seed axis:
+
+        * actor: ``d logits = -(adv / B) * (onehot(a) - softmax)``
+        * entropy bonus: ``d logits = (w_e / B) * p * (log p + H)``
+        * critic: ``d value = c_v * 2/B * (v - R)``
+
+        Each seed's slice is independent of the stack size (batched GEMMs
+        resolve each seed with the same BLAS calls, elementwise math is
         shape-independent, and gradient clipping accumulates per seed in
-        serial parameter order).
+        parameter order).  Returns per-seed ``(actor_loss, critic_loss,
+        entropy, grad_norm)`` arrays.
         """
         cfg = self.config
         cache, logits, values = self.stack.fused_forward(states)
         batch = logits.shape[1]
+        # Stay in the network dtype end to end: a float64 returns array would
+        # silently upcast every gradient GEMM below.
         returns = np.asarray(returns, dtype=logits.dtype)
         advantages = returns - values
 
+        # Stable log-softmax / softmax from the raw logits.
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1,
                                                          keepdims=True))
@@ -610,22 +558,7 @@ class MultiSeedA2CTrainer:
                                                cfg.max_grad_norm)
         self._optimizer.step()
         self.stack.mark_updated()
-
-        stats = []
-        for index, trace in enumerate(traces):
-            rewards = rewards_per_seed[index]
-            total = float(sum(rewards))
-            stats.append(EpochStats(
-                epoch=self.epoch,
-                episode_reward=total,
-                mean_chunk_reward=total / max(len(rewards), 1),
-                actor_loss=float(actor_losses[index]),
-                critic_loss=float(critic_losses[index]),
-                entropy=float(entropies[index]),
-                grad_norm=float(grad_norms[index]),
-                trace_name=trace.name,
-            ))
-        return stats
+        return actor_losses, critic_losses, entropies, grad_norms
 
     # ------------------------------------------------------------------ #
     def evaluate_checkpoint(self, traces: TraceSet, greedy: bool = True,
@@ -666,3 +599,27 @@ class MultiSeedA2CTrainer:
                                simulator_config=self.simulator_config,
                                greedy=greedy, seed=seed, batched=batched)
                 for agent, seed in zip(self.agents, self.seeds)]
+
+
+def make_trainer(agents: Sequence[ABRAgent], video: Video,
+                 train_traces: TraceSet, seeds: Sequence[Optional[int]],
+                 qoe: Optional[QoEMetric] = None,
+                 config: Optional[A2CConfig] = None,
+                 simulator_config: Optional[SimulatorConfig] = None):
+    """The training engine for a seed batch of one design.
+
+    One compiled stack (:class:`MultiSeedA2CTrainer`) when the networks
+    lower and stack together, for one seed or many; otherwise the autograd
+    reference :class:`A2CTrainer`, which takes one seed.  Both answer
+    ``train_epoch``/``train``, ``histories`` and ``evaluate_checkpoint``.
+    """
+    if MultiSeedA2CTrainer.supports([agent.network for agent in agents]):
+        return MultiSeedA2CTrainer(agents, video, train_traces, qoe=qoe,
+                                   config=config,
+                                   simulator_config=simulator_config,
+                                   seeds=seeds)
+    if len(agents) != 1 or len(seeds) != 1:
+        raise ValueError("these networks do not stack; the autograd "
+                         "reference trains one seed at a time")
+    return A2CTrainer(agents[0], video, train_traces, qoe=qoe, config=config,
+                      simulator_config=simulator_config, seed=seeds[0])

@@ -108,7 +108,7 @@ def test_random_design_specs_compile_and_match_autograd(family, engine_guard):
         network = _build_from_spec(spec, seed=index)
         # Every design-space family lowers, pensieve_conv with any
         # activation included.
-        assert network.supports_fused_update(), spec
+        assert network.compiled_plan() is not None, spec
         states = data_rng.normal(size=(5, 6, 8)).astype(dtype)
         dlogits = data_rng.normal(size=(5, 5)).astype(dtype)
         dvalues = data_rng.normal(size=(5,)).astype(dtype)
@@ -149,7 +149,7 @@ def test_pensieve_compiles_and_matches_autograd(activation, dtype,
     for index, shape in enumerate(PENSIEVE_SHAPES):
         network = _equivalence_network(f"pensieve:{activation}", index,
                                        state_shape=shape)
-        assert network.supports_fused_update(), shape
+        assert network.compiled_plan() is not None, shape
         states = data_rng.normal(size=(5,) + shape).astype(dtype)
         dlogits = data_rng.normal(size=(5, 5)).astype(dtype)
         dvalues = data_rng.normal(size=(5,)).astype(dtype)
@@ -306,7 +306,7 @@ def test_unlowerable_architectures_degrade_with_logged_reason(caplog,
                             rng=np.random.default_rng(0))
     with caplog.at_level(logging.INFO, logger="repro.nn.compile"):
         assert plan_for(exotic) is None
-    assert exotic.supports_fused_update() is False
+    assert exotic.compiled_plan() is None
     assert not CompiledSeedStack.compatible([exotic])
     # Custom callable activations refuse too.
     custom = GenericActorCritic((6, 8), 4, hidden_sizes=(8,),
@@ -317,7 +317,7 @@ def test_unlowerable_architectures_degrade_with_logged_reason(caplog,
     nn.set_compilation(False)
     fresh = GenericActorCritic((6, 8), 4, hidden_sizes=(8,),
                                rng=np.random.default_rng(0))
-    assert fresh.supports_fused_update() is False
+    assert fresh.compiled_plan() is None
     probs = fresh.policy_probs(np.zeros((2, 6, 8)))
     assert probs.shape == (2, 4)
 

@@ -1,11 +1,12 @@
 """Seed-for-seed equivalence suite for the multi-seed lockstep trainer.
 
-The lockstep engine's contract is that training all seeds of a design
-simultaneously (stacked weights, batched fused updates) is indistinguishable
-from the serial per-seed trainer: identical trace choices, identical action
-sequences, weights and :class:`TrainingRun` records matching to <= 1e-9 in
-both float32 and float64.  These tests pin that contract, plus the stacked
-kernels and optimizers it is built from.
+The compiled engine's contract is that a seed trained in an n-seed stack
+(stacked weights, batched fused updates) is indistinguishable from that seed
+trained in a one-seed stack: identical trace choices, action sequences,
+weights and :class:`TrainingRun` records, bit for bit, in both float32 and
+float64.  The autograd reference trainer agrees to <= 1e-9 in float64.
+These tests pin that contract, plus the stacked kernels and optimizers it is
+built from.
 """
 
 import numpy as np
@@ -38,10 +39,10 @@ def _agents(setup, seeds):
                               seed=seed) for seed in seeds]
 
 
-def _serial_trainers(setup, seeds, config):
-    return [A2CTrainer(agent, setup.video, setup.train_traces, qoe=setup.qoe,
-                       config=config, seed=seed)
-            for agent, seed in zip(_agents(setup, seeds), seeds)]
+def _stack(setup, seeds, config):
+    return MultiSeedA2CTrainer(_agents(setup, seeds), setup.video,
+                               setup.train_traces, qoe=setup.qoe,
+                               config=config, seeds=seeds)
 
 
 @pytest.fixture
@@ -57,6 +58,7 @@ def dtype_guard():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_lockstep_matches_serial_seed_for_seed(env_setup, dtype, dtype_guard,
                                                monkeypatch):
+    """A seed trained in a 3-seed stack equals it in a one-seed stack, bitwise."""
     nn.set_default_dtype(dtype)
     setup = env_setup
     # A non-default critic_lr so the per-group learning rates are exercised.
@@ -72,17 +74,15 @@ def test_lockstep_matches_serial_seed_for_seed(env_setup, dtype, dtype_guard,
 
     monkeypatch.setattr(StreamingSession, "step", recording_step)
 
-    serial = _serial_trainers(setup, SEEDS, config)
-    serial_actions = []
-    for trainer in serial:
+    singles = [_stack(setup, [seed], config) for seed in SEEDS]
+    single_actions = []
+    for trainer in singles:
         recorded.clear()
         trainer.train(epochs)
-        serial_actions.append(list(recorded))
+        single_actions.append(list(recorded))
 
     recorded.clear()
-    agents = _agents(setup, SEEDS)
-    multi = MultiSeedA2CTrainer(agents, setup.video, setup.train_traces,
-                                qoe=setup.qoe, config=config, seeds=SEEDS)
+    multi = _stack(setup, SEEDS, config)
     multi.train(epochs)
     lock_flat = list(recorded)
 
@@ -96,31 +96,50 @@ def test_lockstep_matches_serial_seed_for_seed(env_setup, dtype, dtype_guard,
                 lock_flat[position:position + chunks])
             position += chunks
 
-    for index, trainer in enumerate(serial):
-        # Identical trace choices and action sequences.
-        assert ([stats.trace_name for stats in trainer.history]
-                == [stats.trace_name for stats in multi.histories[index]])
-        assert serial_actions[index] == lock_actions[index]
-        # Identical per-epoch statistics.
-        for a, b in zip(trainer.history, multi.histories[index]):
-            assert a.episode_reward == b.episode_reward
-            assert abs(a.actor_loss - b.actor_loss) <= 1e-9
-            assert abs(a.critic_loss - b.critic_loss) <= 1e-9
-            assert abs(a.entropy - b.entropy) <= 1e-9
-            assert abs(a.grad_norm - b.grad_norm) <= 1e-9
-        # Weights match to <= 1e-9.
-        serial_state = trainer.agent.network.state_dict()
-        lock_state = agents[index].network.state_dict()
-        for key in serial_state:
-            delta = np.max(np.abs(serial_state[key] - lock_state[key]))
-            assert delta <= 1e-9, (key, delta)
-        # Checkpoint evaluation matches the serial evaluator.
-        serial_eval = evaluate_agent(trainer.agent, setup.video,
-                                     setup.test_traces, qoe=setup.qoe,
-                                     greedy=True, seed=SEEDS[index],
-                                     batched=True)
-        assert multi.evaluate_checkpoint(setup.test_traces)[index] == \
-            pytest.approx(serial_eval, abs=1e-12)
+    multi_scores = multi.evaluate_checkpoint(setup.test_traces)
+    for index, single in enumerate(singles):
+        # Identical action sequences and per-epoch statistics (trace
+        # choices included), field for field.
+        assert single_actions[index] == lock_actions[index]
+        assert single.histories[0] == multi.histories[index]
+        # Identical weights.
+        single_state = single.agents[0].network.state_dict()
+        lock_state = multi.agents[index].network.state_dict()
+        for key in single_state:
+            assert np.array_equal(single_state[key], lock_state[key]), key
+        # Identical checkpoint scores, equal to the plain evaluator's.
+        score, = single.evaluate_checkpoint(setup.test_traces)
+        assert multi_scores[index] == score
+        assert score == evaluate_agent(single.agents[0], setup.video,
+                                       setup.test_traces, qoe=setup.qoe,
+                                       greedy=True, seed=SEEDS[index],
+                                       batched=True)
+
+
+def test_one_seed_stack_update_matches_autograd_reference(env_setup,
+                                                          dtype_guard):
+    """The compiled update agrees with ``A2CTrainer``'s graph update."""
+    nn.set_default_dtype("float64")
+    setup = env_setup
+    config = A2CConfig(critic_lr=3e-3)
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(10, 6, 8))
+    actions = rng.integers(0, setup.video.num_bitrates, size=10)
+    returns = rng.normal(size=10)
+
+    graph, = _agents(setup, [5])
+    reference = A2CTrainer(graph, setup.video, setup.train_traces,
+                           qoe=setup.qoe, config=config, seed=5)
+    stack = _stack(setup, [5], config)
+    graph_losses = reference._graph_update(states, actions, returns.copy(),
+                                           0.4)
+    stack_losses = stack._fused_update(states[None], actions[None],
+                                       returns[None].copy(), 0.4)
+    for graph_value, stack_value in zip(graph_losses, stack_losses):
+        assert abs(graph_value - stack_value[0]) <= 1e-9
+    for p, q in zip(graph.network.parameters(),
+                    stack.agents[0].network.parameters()):
+        assert np.abs(p.data - q.data).max() <= 1e-9, p.name
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -206,25 +225,77 @@ def test_run_seeds_falls_back_for_unsupported_networks(env_setup):
         assert lock.checkpoint_scores == serial.checkpoint_scores
 
 
-def test_run_seeds_falls_back_with_early_stopping(env_setup, monkeypatch):
+def _fitted_classifier():
+    classifier = RewardTrajectoryClassifier(
+        EarlyStoppingConfig(reward_prefix_length=2, training_epochs=2))
+    classifier.fit([[0.0, 0.1], [0.2, 0.3], [0.1, 0.2], [0.4, 0.5]],
+                   [0.1, 0.9, 0.2, 0.8])
+    return classifier
+
+
+def test_run_seeds_trains_one_seed_stack_per_seed_with_early_stopping(
+        env_setup, monkeypatch):
     setup = env_setup
     config = EvaluationConfig(train_epochs=4, checkpoint_interval=2,
                               last_k_checkpoints=2, num_seeds=2,
                               a2c=A2CConfig(entropy_anneal_epochs=2))
     trainer = DesignTrainer(setup.video, setup.train_traces,
                             setup.test_traces, config=config, qoe=setup.qoe)
-    classifier = RewardTrajectoryClassifier(
-        EarlyStoppingConfig(reward_prefix_length=2, training_epochs=2))
-    classifier.fit([[0.0, 0.1], [0.2, 0.3], [0.1, 0.2], [0.4, 0.5]],
-                   [0.1, 0.9, 0.2, 0.8])
-    called = []
-    monkeypatch.setattr(
-        MultiSeedA2CTrainer, "__init__",
-        lambda self, *a, **k: called.append(True) or (_ for _ in ()).throw(
-            AssertionError("lockstep must not engage with early stopping")))
-    runs = trainer.run_seeds(None, None, [0, 1], early_stopping=classifier)
-    assert len(runs) == 2
-    assert not called
+    stacks = []
+    original_init = MultiSeedA2CTrainer.__init__
+
+    def recording_init(self, agents, *args, seeds=None, **kwargs):
+        stacks.append(list(seeds))
+        original_init(self, agents, *args, seeds=seeds, **kwargs)
+
+    monkeypatch.setattr(MultiSeedA2CTrainer, "__init__", recording_init)
+    runs = trainer.run_seeds(None, None, [0, 1],
+                             early_stopping=_fitted_classifier())
+    assert [run.seed for run in runs] == [0, 1]
+    assert stacks == [[0], [1]]
+    # Without early stopping the same seeds share one stack.
+    stacks.clear()
+    trainer.run_seeds(None, None, [0, 1])
+    assert stacks == [[0, 1]]
+
+
+class _StopBelow:
+    """Stops a seed whose second training episode scored below ``floor``."""
+
+    config = EarlyStoppingConfig(reward_prefix_length=2, training_epochs=2)
+
+    def __init__(self, floor):
+        self.floor = floor
+
+    def should_stop(self, rewards):
+        assert len(rewards) == self.config.reward_prefix_length
+        return rewards[-1] < self.floor
+
+
+@pytest.mark.parametrize("early_stopping", [False, True])
+def test_run_equals_run_seeds_record_for_record(env_setup, early_stopping):
+    setup = env_setup
+    config = EvaluationConfig(train_epochs=6, checkpoint_interval=2,
+                              last_k_checkpoints=2, num_seeds=len(SEEDS),
+                              a2c=A2CConfig(entropy_anneal_epochs=4))
+    trainer = DesignTrainer(setup.video, setup.train_traces,
+                            setup.test_traces, config=config, qoe=setup.qoe)
+    # Seed 2's second episode scores about -44.5, seeds 0 and 1 above -20.
+    classifier = _StopBelow(-20.0) if early_stopping else None
+    batch = trainer.run_seeds(None, None, SEEDS, early_stopping=classifier)
+    assert [run.early_stopped for run in batch] == [False, False,
+                                                    early_stopping]
+    for seed, batched in zip(SEEDS, batch):
+        single = trainer.run(None, None, seed, early_stopping=classifier)
+        assert single == trainer.run_seeds(None, None, [seed],
+                                           early_stopping=classifier)[0]
+        assert single == batched
+    stopped = batch[-1]
+    if early_stopping:
+        assert len(stopped.reward_history) == 2
+        assert stopped.checkpoint_epochs == [] and stopped.checkpoint_scores == []
+    else:
+        assert stopped.checkpoint_epochs == [2, 4, 6]
 
 
 def test_supports_rejects_mixed_and_generic_networks(env_setup):

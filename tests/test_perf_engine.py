@@ -20,13 +20,11 @@ import pytest
 from repro import nn
 from repro.abr.env import ChunkLevelSimulator, SimulatorConfig
 from repro.abr.networks import GenericActorCritic, PensieveNetwork
-from repro.abr.state import StateFunction
 from repro.abr.video import synthetic_video
 from repro.analysis.experiments import ExperimentScale, build_environment
 from repro.core.evaluation import DesignTrainer, TestScoreProtocol, TrainingRun
 from repro.core.parallel import ParallelConfig
-from repro.rl.a2c import A2CTrainer, evaluate_agent, evaluate_agent_batched
-from repro.rl.agent import ABRAgent
+from repro.rl.a2c import evaluate_agent, evaluate_agent_batched
 from repro.rl.rollout import discounted_returns
 from repro.traces.base import Trace, TraceSet
 
@@ -284,44 +282,17 @@ class TestFastInference:
 
 
 class TestFusedUpdate:
-    def test_fused_update_matches_autograd(self):
-        video = synthetic_video("standard", num_chunks=10, seed=1)
-        timestamps = np.arange(0.0, 300.0, 1.0)
-        traces = TraceSet([Trace(timestamps, np.full_like(timestamps, 3.0))])
-        rng = np.random.default_rng(0)
-        states = rng.normal(size=(10, 6, 8))
-        actions = rng.integers(0, 6, size=10)
-        returns = rng.normal(size=10)
-
-        def make_trainer():
-            network = PensieveNetwork((6, 8), 6, rng=np.random.default_rng(7))
-            agent = ABRAgent(StateFunction.original(), network,
-                             rng=np.random.default_rng(5))
-            return A2CTrainer(agent, video, traces, seed=5)
-
-        graph_trainer = make_trainer()
-        fused_trainer = make_trainer()
-        assert fused_trainer.agent.network.supports_fused_update()
-        graph_stats = graph_trainer._graph_update(states, actions,
-                                                  returns.copy(), 0.4)
-        fused_stats = fused_trainer._fused_update(states, actions,
-                                                  returns.copy(), 0.4)
-        np.testing.assert_allclose(graph_stats, fused_stats, atol=1e-8)
-        for p, q in zip(graph_trainer.agent.network.parameters(),
-                        fused_trainer.agent.network.parameters()):
-            np.testing.assert_allclose(p.data, q.data, atol=1e-10)
-
     def test_generic_network_fused_support_follows_compiler(self):
         # Since PR 5 the kernel compiler lowers generated architectures onto
         # the fused path; --no-compile restores the graph-only behaviour.
         network = GenericActorCritic((6, 8), 6,
                                      rng=np.random.default_rng(0))
-        assert network.supports_fused_update() is True
+        assert network.compiled_plan() is not None
         previous = nn.set_compilation(False)
         try:
             fresh = GenericActorCritic((6, 8), 6,
                                        rng=np.random.default_rng(0))
-            assert fresh.supports_fused_update() is False
+            assert fresh.compiled_plan() is None
         finally:
             nn.set_compilation(previous)
 

@@ -348,7 +348,12 @@ class TestContractLinter:
             "        return item + 1\n"
             "    np.random.seed(0)\n"
             "    run_resilient(job, items)\n"
-            "    run_resilient(lambda item, attempt: item, items)\n")
+            "    run_resilient(lambda item, attempt: item, items)\n\n\n"
+            "def sweep(scheduler, items):\n"
+            "    def sample(item):\n"
+            "        return item * 2\n"
+            "    scheduler.map_items(sample, items)\n"
+            "    scheduler.map_items(lambda item: item, items)\n")
         # A key builder hashing one engine setting instead of the engine.
         (bad / "core" / "results.py").write_text(
             "from .. import nn\n\n\n"
@@ -358,6 +363,14 @@ class TestContractLinter:
         rules = {f.rule for f in findings}
         assert "repo.rng-discipline" in rules
         assert "repo.picklability" in rules
+        pickle_messages = [f.message for f in findings
+                           if f.rule == "repo.picklability"]
+        for entry in ("run_resilient", "map_items"):
+            assert any(m.startswith(f"lambda submitted to {entry}()")
+                       for m in pickle_messages), entry
+            assert any(m.startswith("locally defined function")
+                       and f"submitted to {entry}()" in m
+                       for m in pickle_messages), entry
         rng_messages = [f.message for f in findings
                         if f.rule == "repo.rng-discipline"]
         assert any("np.random.rand" in m for m in rng_messages)
