@@ -18,14 +18,15 @@ must agree exactly.  The default ``--mode engine`` scores the
 original Pensieve design plus a few generated designs under the §3.1
 protocol twice:
 
-* **seed mode** — the seed repository's implementation: per-segment trace
-  walk, one policy forward per chunk through the autograd graph, serial
-  checkpoint evaluation, float64, allocation-heavy optimizer step and
-  ``rng.choice`` action sampling (the last three are restored from the seed
-  via the reference implementations in this file);
+* **seed mode** — the seed repository's implementation, installed by
+  ``seed_reference_mode()`` from ``tests/reference_engines.py``: the
+  per-segment trace walk, one policy forward per chunk through the autograd
+  graph, serial checkpoint evaluation, float64, the seed's
+  allocation-heavy Conv1D forward and optimizer step, and ``rng.choice``
+  action sampling;
 * **optimized mode** — the shipped engine: prefix-sum downloads, the folded
-  NumPy inference tower, batched greedy evaluation, the fused optimizer, and
-  the requested dtype/worker count.
+  NumPy inference tower, lockstep greedy evaluation, the fused optimizer,
+  and the requested dtype/worker count.
 
 Both modes run the same protocol on the same designs, and the report includes
 the score agreement so speedups can never silently change results.
@@ -34,7 +35,6 @@ the score agreement so speedups can never silently change results.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import statistics
@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.abr.env import SimulatorConfig
 from repro.analysis import ExperimentScale
 from repro.analysis.experiments import build_environment
 from repro.core.design import CandidatePool, DesignKind
@@ -58,6 +57,11 @@ from repro.core.parallel import ParallelConfig
 from repro.core.results import ResultStore
 from repro.core.scheduler import CampaignScheduler, EvaluationJob, protocol_score
 from repro.llm.synthetic import SyntheticLLM
+
+# The reference engines are test oracles; they live with the tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
+from reference_engines import bisect_delivery, seed_reference_mode  # noqa: E402
 
 #: Scale used by the Table 3 benchmark (per environment x profile cell).
 TABLE3_SCALE = ExperimentScale(
@@ -147,91 +151,6 @@ DEFAULT_BENCH_DESIGNS = 0
 
 
 # --------------------------------------------------------------------------- #
-# Seed reference implementations (restored for the baseline measurement)
-# --------------------------------------------------------------------------- #
-def _seed_conv1d_forward(self, x):
-    """Conv1D.forward as shipped in the seed: one graph node per position."""
-    from repro.nn.layers import stack
-    from repro.nn.tensor import Tensor
-
-    if x.ndim == 2:
-        x = x.reshape(x.shape[0], 1, x.shape[1])
-    batch, channels, length = x.shape
-    if channels != self.in_channels:
-        raise ValueError(f"Conv1D expected {self.in_channels} channels, got {channels}")
-    kernel = self.kernel_size
-    if length < kernel:
-        raise ValueError(f"Conv1D input length {length} is shorter than kernel size {kernel}")
-    positions = list(range(0, length - kernel + 1, self.stride))
-    columns = []
-    for start in positions:
-        patch = x[:, :, start:start + kernel].reshape(batch, channels * kernel)
-        columns.append(patch)
-    stacked = stack(columns, axis=1)
-    flat_weight = Tensor(self.weight.data.reshape(self.out_channels, channels * kernel))
-    flat_weight.requires_grad = self.weight.requires_grad
-    weight_param = self.weight
-
-    def weight_backward(grad):
-        weight_param._accumulate(grad.reshape(weight_param.data.shape))
-
-    flat_weight._parents = (weight_param,)
-    flat_weight._backward = weight_backward
-    out = stacked.matmul(flat_weight.transpose())
-    out = out.transpose(0, 2, 1)
-    if self.bias is not None:
-        out = out + self.bias.reshape(1, self.out_channels, 1)
-    return self.activation(out)
-
-
-def _seed_rmsprop_step(self):
-    """RMSProp.step as shipped in the seed: fresh temporaries per parameter."""
-    for p, square_avg in zip(self.parameters, self._square_avg):
-        if p.grad is None:
-            continue
-        square_avg *= self.decay
-        square_avg += (1.0 - self.decay) * p.grad ** 2
-        p.data = p.data - self.lr * p.grad / (np.sqrt(square_avg) + self.eps)
-        p.version = getattr(p, "version", 0) + 1
-
-
-def _seed_sample_action(probabilities, rng):
-    """sample_action as shipped in the seed: ``rng.choice`` with validation."""
-    probs = np.asarray(probabilities, dtype=np.float64).ravel()
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0:
-        probs = np.full(len(probs), 1.0 / len(probs))
-    else:
-        probs = probs / total
-    return int(rng.choice(len(probs), p=probs))
-
-
-@contextlib.contextmanager
-def seed_reference_mode():
-    """Swap in the seed's hot-path implementations for a baseline measurement."""
-    from repro.nn import layers as nn_layers
-    from repro.nn import optim as nn_optim
-    from repro.rl import agent as rl_agent
-    from repro.rl import policy as rl_policy
-
-    saved = (nn_layers.Conv1D.forward, nn_optim.RMSProp.step,
-             rl_policy.sample_action, rl_agent.sample_action)
-    nn_layers.Conv1D.forward = _seed_conv1d_forward
-    nn_optim.RMSProp.step = _seed_rmsprop_step
-    rl_policy.sample_action = _seed_sample_action
-    rl_agent.sample_action = _seed_sample_action
-    try:
-        with nn.engine.using(nn.EngineConfig(dtype="float64", compile=False)):
-            yield
-    finally:
-        nn_layers.Conv1D.forward = saved[0]
-        nn_optim.RMSProp.step = saved[1]
-        rl_policy.sample_action = saved[2]
-        rl_agent.sample_action = saved[3]
-
-
-# --------------------------------------------------------------------------- #
 # Workload
 # --------------------------------------------------------------------------- #
 def _bench_designs(scale: ExperimentScale, count: int):
@@ -243,8 +162,6 @@ def _bench_designs(scale: ExperimentScale, count: int):
 
 
 def run_protocol_workload(scale: ExperimentScale,
-                          download_engine: str,
-                          batched_evaluation: bool,
                           workers: int = 1,
                           designs: Optional[list] = None,
                           lockstep: bool = False,
@@ -258,9 +175,7 @@ def run_protocol_workload(scale: ExperimentScale,
     Returns (wall-clock seconds, {design label: protocol score}).
     """
     setup = build_environment("fcc", scale)
-    config = replace(scale.evaluation_config(),
-                     simulator=SimulatorConfig(download_engine=download_engine),
-                     batched_evaluation=batched_evaluation)
+    config = scale.evaluation_config()
     trainer = DesignTrainer(setup.video, setup.train_traces, setup.test_traces,
                             config=config, qoe=setup.qoe)
     protocol = TestScoreProtocol(trainer,
@@ -294,14 +209,12 @@ def run_benchmark(scale: ExperimentScale = DEFAULT_BENCH_SCALE,
     designs = _bench_designs(scale, num_designs)
     with seed_reference_mode():
         seed_seconds, seed_scores = run_protocol_workload(
-            scale, download_engine="segment_walk", batched_evaluation=False,
-            workers=1, designs=designs)
+            scale, workers=1, designs=designs)
 
     previous_dtype = nn.set_default_dtype(dtype)
     try:
         optimized_seconds, optimized_scores = run_protocol_workload(
-            scale, download_engine="prefix_sum", batched_evaluation=True,
-            workers=workers, designs=designs)
+            scale, workers=workers, designs=designs)
     finally:
         nn.set_default_dtype(previous_dtype)
 
@@ -334,7 +247,7 @@ def run_multi_seed_benchmark(scale: Optional[ExperimentScale] = None,
     """A/B one-seed stacks against one multi-seed stack.
 
     Both modes run the full optimized substrate (prefix-sum downloads, folded
-    inference, batched checkpoint evaluation) and the same compiled trainer,
+    inference, lockstep checkpoint evaluation) and the same compiled trainer,
     :class:`~repro.rl.a2c.MultiSeedA2CTrainer`; the only difference is the
     batching: per-seed mode trains ``num_seeds`` one-seed stacks (one
     singleton job per seed) one after another, lockstep mode one stack
@@ -347,11 +260,9 @@ def run_multi_seed_benchmark(scale: Optional[ExperimentScale] = None,
     previous_dtype = nn.set_default_dtype(dtype)
     try:
         per_seed_seconds, per_seed_scores = run_protocol_workload(
-            scale, download_engine="prefix_sum", batched_evaluation=True,
-            workers=1, designs=designs, lockstep=False)
+            scale, workers=1, designs=designs, lockstep=False)
         lockstep_seconds, lockstep_scores = run_protocol_workload(
-            scale, download_engine="prefix_sum", batched_evaluation=True,
-            workers=1, designs=designs, lockstep=True)
+            scale, workers=1, designs=designs, lockstep=True)
     finally:
         nn.set_default_dtype(previous_dtype)
 
@@ -430,12 +341,10 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
     engine = nn.EngineConfig(dtype=dtype)
     with nn.engine.using(replace(engine, compile=False)):
         graph_seconds, graph_scores = run_protocol_workload(
-            scale, download_engine="prefix_sum", batched_evaluation=True,
-            workers=workers, designs=designs, lockstep=True)
+            scale, workers=workers, designs=designs, lockstep=True)
     with nn.engine.using(engine):
         compiled_seconds, compiled_scores = run_protocol_workload(
-            scale, download_engine="prefix_sum", batched_evaluation=True,
-            workers=workers, designs=designs, lockstep=True)
+            scale, workers=workers, designs=designs, lockstep=True)
 
     score_delta = max(abs(graph_scores[k] - compiled_scores[k])
                       for k in graph_scores)
@@ -631,12 +540,14 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
     set, sessions assigned round-robin) with the same fresh original agent:
 
     * **serial reference** — the pre-fleet serving path exactly as the seed
-      shipped it: ``bisect`` link inversion and one per-observation Python
+      shipped it: the bisect round loop (``bisect_delivery()`` from
+      ``tests/reference_engines.py``) and one per-observation Python
       forward per decision, sessions back to back;
-    * **serial matched** — the same per-observation loop on the ``prefix``
-      link engine (isolates the link-inversion win from the batching win);
+    * **serial matched** — the same per-observation loop on the shipped
+      prefix inversion (isolates the link-inversion win from the batching
+      win);
     * **1-shard fleet** — the event-driven fleet in one process
-      (``FleetConfig.workers=1``): ``prefix`` engine, every decision tick
+      (``FleetConfig.workers=1``): prefix inversion, every decision tick
       answered by ONE batched policy forward;
     * **fleet** — the same fleet split over one shard process per usable
       CPU (the default ``workers=None``).
@@ -657,7 +568,7 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
     inversions agree to ~1e-14 seconds, not bitwise.
     """
     from repro.core.evaluation import instantiate_agent
-    from repro.emulation import EmulationConfig, Fleet, FleetConfig, LinkConfig
+    from repro.emulation import Fleet, FleetConfig
 
     scale = replace(DEFAULT_BENCH_SCALE, dataset_scale=dataset_scale,
                     num_chunks=num_chunks, seed=seed)
@@ -670,24 +581,22 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
         agent = instantiate_agent(None, None, video, setups[0].train_traces,
                                   seed=seed)
 
-        def fleet_for(engine: str, workers: Optional[int] = None) -> Fleet:
-            link = replace(LinkConfig(), delivery_engine=engine)
+        def fleet_for(workers: Optional[int] = None) -> Fleet:
             return Fleet(video, traces, config=FleetConfig(
-                emulation=EmulationConfig(link=link),
                 arrival_process="poisson", batch_window_s=batch_window_s,
                 workers=workers))
 
-        reference_fleet = fleet_for("bisect")
+        fast_fleet = fleet_for()
         start = time.perf_counter()
-        reference = reference_fleet.serial_reference(agent, num_sessions)
+        with bisect_delivery():
+            reference = fast_fleet.serial_reference(agent, num_sessions)
         reference_s = time.perf_counter() - start
 
-        fast_fleet = fleet_for("prefix")
         start = time.perf_counter()
         matched = fast_fleet.serial_reference(agent, num_sessions)
         matched_s = time.perf_counter() - start
 
-        one_shard_fleet = fleet_for("prefix", workers=1)
+        one_shard_fleet = fleet_for(workers=1)
         one_shard_times, one_shard_busy, fleet_times, fleet_busy = [], [], [], []
         for _ in range(FLEET_REPEATS):
             start = time.perf_counter()

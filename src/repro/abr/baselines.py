@@ -10,8 +10,7 @@ emulator and the RL agent, so they can be dropped into any experiment driver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

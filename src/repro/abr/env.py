@@ -3,9 +3,9 @@
 The simulator replays a bandwidth trace and models the download of video
 chunks one at a time:
 
-* downloading a chunk walks the trace segment by segment, consuming
-  ``bandwidth x time x payload_fraction`` bytes per segment until the chunk is
-  complete, then adds one link RTT;
+* downloading a chunk integrates ``bandwidth x time x payload_fraction``
+  bytes over the trace (a binary search on the trace's capacity prefix
+  sums) until the chunk is complete, then adds one link RTT;
 * the playback buffer drains in real time during the download; if it empties,
   the difference is recorded as rebuffering time;
 * each finished chunk adds ``chunk_duration`` seconds of video to the buffer;
@@ -19,8 +19,8 @@ video through any ABR policy, returning per-chunk records and QoE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class SimulatorConfig:
     #: Multiplicative noise applied to each chunk's effective bandwidth,
     #: modelling cross traffic the trace does not capture (0 disables it).
     bandwidth_noise_std: float = 0.0
-    #: How chunk downloads are resolved against the trace: "prefix_sum"
-    #: (default) binary-searches precomputed capacity prefix sums in
-    #: O(log n); "segment_walk" replays the original per-segment loop.  The
-    #: two agree to float round-off (see the equivalence tests).
-    download_engine: str = "prefix_sum"
 
 
 @dataclass
@@ -178,32 +173,23 @@ class ChunkLevelSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    def _download(self, chunk_bytes: float, noise: float) -> float:
-        """Resolve the transfer of ``chunk_bytes`` against the trace.
-
-        Dispatches on ``config.download_engine``: the prefix-sum engine is the
-        O(log n) fast path, the segment walk is the loop-based reference
-        implementation the equivalence tests compare against.
-        """
-        engine = self.config.download_engine
-        if engine == "prefix_sum":
-            return self._download_prefix_sum(chunk_bytes, noise)
-        if engine == "segment_walk":
-            return self._download_segment_walk(chunk_bytes, noise)
-        raise ValueError(f"unknown download engine {engine!r}")
-
     def _required_rate_seconds(self, chunk_bytes: float, noise: float) -> float:
         """Convert a chunk size to required Mbit of (floored) link capacity.
 
-        The segment loop consumes ``max(mbps * noise, MIN) * 1e6/8 * payload``
+        A trace segment delivers ``max(mbps * noise, MIN) * 1e6/8 * payload``
         bytes per second; dividing the chunk size by the constant factor turns
         the problem into 'integrate the floored throughput until it reaches R'.
         """
         bytes_per_rate_second = 1e6 / 8.0 * self.config.payload_fraction
         return chunk_bytes / bytes_per_rate_second
 
-    def _download_prefix_sum(self, chunk_bytes: float, noise: float) -> float:
-        """Resolve a download via binary search on capacity prefix sums."""
+    def _download(self, chunk_bytes: float, noise: float) -> float:
+        """Resolve the transfer of ``chunk_bytes`` against the trace.
+
+        Binary-searches the trace's cached capacity prefix sums in
+        O(log n); the per-segment walk it replaced is kept as the test
+        oracle in ``tests/reference_engines.py``.
+        """
         trace = self.trace
         times = trace.timestamps_s
         duration = trace.duration_s
@@ -245,79 +231,6 @@ class ChunkLevelSimulator:
         elapsed = max(elapsed, 1e-12)
         self._advance_trace_time(elapsed)
         return elapsed
-
-    #: Refuse to walk more than this many segments for a single chunk: a
-    #: larger exact bound means the download is infeasible on any realistic
-    #: timescale (the prefix-sum engine resolves the same download in O(log n)
-    #: either way).
-    MAX_WALK_ITERATIONS = 10_000_000
-
-    def _download_segment_walk(self, chunk_bytes: float, noise: float) -> float:
-        """Walk the trace segment by segment until the chunk is transferred.
-
-        The iteration bound is exact rather than a magic constant: each pass
-        over the replay cycle takes at most ``len(trace) - 1`` iterations and
-        delivers at least the cycle's floored capacity, so the number of
-        cycles needed is ``required / cycle_capacity``.  A bound beyond
-        :data:`MAX_WALK_ITERATIONS` fails fast with a descriptive error
-        instead of looping for minutes first.
-        """
-        remaining = chunk_bytes
-        elapsed = 0.0
-        floor = MIN_THROUGHPUT_MBPS / noise
-        cumulative, _ = self.trace.capacity_prefix(floor)
-        cycle_capacity = float(cumulative[-1]) * noise
-        required = self._required_rate_seconds(chunk_bytes, noise)
-        segments_per_cycle = max(len(self.trace) - 1, 1)
-        cycles_needed = required / cycle_capacity
-        max_iterations = int(np.ceil(cycles_needed + 2.0)) * segments_per_cycle
-        if max_iterations > self.MAX_WALK_ITERATIONS:
-            raise RuntimeError(
-                f"download of {chunk_bytes:.0f} bytes on trace "
-                f"{self.trace.name!r} would walk {max_iterations} segments "
-                f"({cycles_needed:.0f} replay cycles of {cycle_capacity:.6g} "
-                f"Mbit); the link is effectively dead — refusing to iterate "
-                f"past {self.MAX_WALK_ITERATIONS}")
-        for _ in range(max_iterations):
-            raw_mbps, segment_remaining = self._segment_view()
-            bytes_per_s = (max(raw_mbps * noise, MIN_THROUGHPUT_MBPS)
-                           * 1e6 / 8.0 * self.config.payload_fraction)
-            capacity = bytes_per_s * segment_remaining
-            if capacity >= remaining:
-                used = remaining / bytes_per_s
-                elapsed += used
-                self._advance_trace_time(used)
-                return elapsed
-            remaining -= capacity
-            elapsed += segment_remaining
-            self._advance_trace_time(segment_remaining)
-        raise RuntimeError(
-            f"download of {chunk_bytes:.0f} bytes did not terminate on trace "
-            f"{self.trace.name!r} within {max_iterations} iterations "
-            f"({segments_per_cycle} segments/cycle, {cycles_needed:.1f} cycles "
-            f"of {cycle_capacity:.6g} Mbit needed)")
-
-    def _segment_view(self) -> tuple:
-        """Current segment's ``(throughput_mbps, seconds_to_next_sample)``.
-
-        When modular arithmetic leaves the position a float round-off short of
-        a sample boundary, the view snaps forward to the boundary so the walk
-        integrates the trace exactly instead of charging phantom time at the
-        previous segment's rate.
-        """
-        trace = self.trace
-        times = trace.timestamps_s
-        wrapped = (self._time_in_trace_s - times[0]) % trace.duration_s + times[0]
-        index = int(np.searchsorted(times, wrapped, side="right")) - 1
-        index = max(0, min(index, len(times) - 2))
-        gap = float(times[index + 1] - wrapped)
-        if gap <= 1e-9:
-            # Effectively sitting on the next sample already.
-            index += 1
-            if index >= len(times) - 1:
-                index = 0
-            gap = float(times[index + 1] - times[index])
-        return float(trace.throughputs_mbps[index]), gap
 
     def _advance_trace_time(self, delta_s: float) -> None:
         self._time_in_trace_s = (self._time_in_trace_s + delta_s) % max(

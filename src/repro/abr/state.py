@@ -15,12 +15,11 @@ This module defines three things:
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .env import HISTORY_LENGTH, Observation
+from .env import Observation
 
 __all__ = [
     "STATE_FUNCTION_NAME",

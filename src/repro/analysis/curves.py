@@ -9,7 +9,7 @@ epoch grid and renders a compact ASCII representation for console output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 

@@ -10,15 +10,14 @@ suite completes on a laptop, while exercising exactly the same code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import nn
-from ..abr.env import StreamingSession
 from ..abr.qoe import LinearQoE
 from ..abr.video import Video, synthetic_video
-from ..core.design import CandidatePool, Design, DesignKind, DesignStatus
+from ..core.design import CandidatePool, Design, DesignKind
 from ..core.evaluation import DesignTrainer, EvaluationConfig, TestScoreProtocol, instantiate_agent
 from ..core.filters import FilterPipeline, FilterReport
 from ..core.parallel import ParallelConfig

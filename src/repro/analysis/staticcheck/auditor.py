@@ -25,7 +25,7 @@ with the expected rule family.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -1,6 +1,6 @@
 """Repo contract linter: enforce the invariants CI kept re-fixing by hand.
 
-:func:`lint_repo` runs five checks over ``src/repro`` itself and returns
+:func:`lint_repo` runs six checks over ``src/repro`` itself and returns
 :class:`~repro.analysis.staticcheck.findings.AuditFinding`s (family
 ``repo``).  It is wired into ``repro lint --self`` and ``make lint`` as a
 fail-the-build job.
@@ -39,12 +39,18 @@ fail-the-build job.
     at least one test under ``tests/`` — an injection site no test fires is
     a recovery path that can rot silently, which defeats the point of
     deterministic chaos coverage.
+``repo.unused-import``
+    Every imported name must be used in its module.  Exempt: package
+    ``__init__.py`` files (their imports are the re-exports), names listed
+    in the module's ``__all__``, names mentioned in a string annotation,
+    and names another module of the tree imports from this one.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
 import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -509,6 +515,79 @@ def _check_fault_coverage(root: Path,
 
 
 # --------------------------------------------------------------------------- #
+# repo.unused-import
+# --------------------------------------------------------------------------- #
+def _module_name(path: Path, root: Path) -> str:
+    """Dotted module name of ``path`` (``root`` is the top package)."""
+    parts = path.relative_to(root.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_from(trees: Dict[Path, ast.Module],
+                   root: Path) -> Set[Tuple[str, str]]:
+    """Every ``(module, name)`` a ``from module import name`` in the tree
+    names, relative imports resolved."""
+    pairs: Set[Tuple[str, str]] = set()
+    for path, tree in trees.items():
+        package = _module_name(path.parent / "__init__.py", root)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = importlib.util.resolve_name(
+                    "." * node.level + (node.module or ""), package)
+                pairs.update((module, alias.name) for alias in node.names)
+    return pairs
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Names the module reads, in code, in string annotations and in
+    ``__all__``."""
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            strings = [node.value]
+        else:
+            strings = [getattr(node, "annotation", None),
+                       getattr(node, "returns", None)]
+        for sub in (n for root in filter(None, strings)
+                    for n in ast.walk(root)):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return used
+
+
+def _check_unused_imports(path: Path, tree: ast.Module, root: Path,
+                          imported_from: Set[Tuple[str, str]]
+                          ) -> List[AuditFinding]:
+    if path.name == "__init__.py":
+        return []
+    module = _module_name(path, root)
+    keep = _used_names(tree)
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [(alias.asname or alias.name.split(".")[0], alias.name)
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [(alias.asname or alias.name, alias.name)
+                     for alias in node.names if alias.name != "*"]
+        else:
+            continue
+        for name, source in bound:
+            if name in keep or (module, name) in imported_from:
+                continue
+            findings.append(_finding(
+                "repo.unused-import",
+                f"{source!r} is imported but never used; delete the import "
+                "(or list the name in __all__ to re-export it)",
+                path, root, node))
+    return findings
+
+
+# --------------------------------------------------------------------------- #
 def lint_repo(src_root: Optional[str] = None) -> List[AuditFinding]:
     """Lint the repository's own library code; returns all findings."""
     root = Path(src_root) if src_root else _repo_source_root()
@@ -522,9 +601,12 @@ def lint_repo(src_root: Optional[str] = None) -> List[AuditFinding]:
             continue
         trees[path] = tree
 
+    imported_from = _imported_from(trees, root)
     for path, tree in sorted(trees.items()):
         findings.extend(_check_rng_discipline(path, tree, root))
         findings.extend(_check_picklability(path, tree, root))
+        findings.extend(_check_unused_imports(path, tree, root,
+                                              imported_from))
     findings.extend(_check_store_keys(root, trees))
     findings.extend(_check_telemetry_noop(root, trees))
     findings.extend(_check_fault_coverage(root))

@@ -45,7 +45,7 @@ Rule families implemented here:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ...abr.networks import NETWORK_BUILDER_NAME
 from ...abr.state import STATE_FUNCTION_NAME, STATE_FUNCTION_PARAMETERS

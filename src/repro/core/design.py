@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 __all__ = ["DesignKind", "DesignStatus", "Design", "CandidatePool"]
 
 

@@ -63,9 +63,6 @@ class EvaluationConfig:
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     #: Evaluate checkpoints greedily (argmax policy) as Pensieve does.
     greedy_evaluation: bool = True
-    #: Step all test traces in lockstep with one batched policy forward per
-    #: chunk during checkpoint evaluation (greedy, noise-free only).
-    batched_evaluation: bool = True
 
     def scaled(self, factor: float) -> "EvaluationConfig":
         """Return a copy with the training schedule scaled by ``factor``."""
@@ -249,8 +246,7 @@ class DesignTrainer:
             if epoch % cfg.checkpoint_interval == 0:
                 checkpoint_epochs.append(epoch)
                 for per_seed, score in zip(scores, trainer.evaluate_checkpoint(
-                        self.test_traces, greedy=cfg.greedy_evaluation,
-                        batched=cfg.batched_evaluation)):
+                        self.test_traces, greedy=cfg.greedy_evaluation)):
                     per_seed.append(score)
                 for series, history in zip(metrics, trainer.histories):
                     for name in TRAINING_METRIC_NAMES:

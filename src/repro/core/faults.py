@@ -74,7 +74,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..log import get_logger
 

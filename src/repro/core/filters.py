@@ -27,13 +27,12 @@ measures on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..abr.env import HISTORY_LENGTH, Observation
 from ..abr.networks import ActorCriticNetwork
-from ..abr.state import StateFunction
 from ..abr.video import STANDARD_LADDER_KBPS
 from .. import nn
 from .codegen import CodeBlockError, load_network_builder, load_state_function

@@ -10,9 +10,7 @@ that pool statistics stay honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..llm.base import LLMClient, first_code_block
 from .design import CandidatePool, Design, DesignKind, DesignStatus

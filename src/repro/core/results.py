@@ -20,11 +20,9 @@ Key schema (one JSON file per record)::
   simulator configs), the video (bitrate ladder, chunk sizes, chunk
   duration) and the exact train/test trace arrays, and the QoE metric's
   class and parameters.  Changing any of these invalidates the cache.
-  ``batched_evaluation``, an execution choice proven bit-identical by the
-  equivalence tests, is deliberately *excluded*, so a campaign recorded
-  under one execution engine can be replayed under any other — as are
-  ``num_seeds`` and ``last_k_checkpoints``, which shape seed-list defaults
-  and score aggregation but never a stored per-seed run.
+  ``num_seeds`` and ``last_k_checkpoints`` are deliberately *excluded*:
+  they shape seed-list defaults and score aggregation but never a stored
+  per-seed run.
 * **design fingerprint** — sha256 over each component's kind and source code
   (``original`` for the unmodified Pensieve component).
 * **seed** — the training seed.  The scheduler reads a job's cache
@@ -77,7 +75,7 @@ from . import faults, telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .design import Design
-    from .evaluation import DesignTrainer, EvaluationConfig, TrainingRun
+    from .evaluation import DesignTrainer, TrainingRun
 
 __all__ = [
     "Lease",
@@ -98,17 +96,18 @@ logger = get_logger("results")
 #: one came from the autograd graph and differs by float round-off).
 #: v5: the engine enters the key as one ``EngineConfig.fingerprint()``;
 #: the ``numerics=`` token left with the fast-numerics tier.
-_SCHEMA_VERSION = "v5"
+#: v6: ``EvaluationConfig`` and ``SimulatorConfig`` lost their
+#: engine-selection fields, so the config tokens changed (the one remaining
+#: engine is the old default).
+_SCHEMA_VERSION = "v6"
 
-#: EvaluationConfig fields excluded from the key.  ``batched_evaluation`` is
-#: a pure execution-engine choice whose outputs are pinned bit-identical by
-#: the equivalence tests; ``num_seeds`` and ``last_k_checkpoints`` only shape
-#: seed-list defaults and score *aggregation*, never the per-seed training
-#: run a record stores — excluding them lets a shorter protocol over the same
-#: design hit the records a longer one wrote (the scheduler re-stamps
+#: EvaluationConfig fields excluded from the key.  ``num_seeds`` and
+#: ``last_k_checkpoints`` only shape seed-list defaults and score
+#: *aggregation*, never the per-seed training run a record stores —
+#: excluding them lets a shorter protocol over the same design hit the
+#: records a longer one wrote (the scheduler re-stamps
 #: ``last_k_checkpoints`` from the requesting config on load).
-_NON_RESULT_FIELDS = frozenset({"batched_evaluation", "num_seeds",
-                                "last_k_checkpoints"})
+_NON_RESULT_FIELDS = frozenset({"num_seeds", "last_k_checkpoints"})
 
 
 def _sha256(parts: Iterable[bytes]) -> str:

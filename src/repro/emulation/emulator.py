@@ -42,7 +42,9 @@ Policy = Callable[[Observation], int]
 #: Pensieve policies now infer through the compiled kernels.
 #: emu-v3: the engine enters the key as one ``EngineConfig.fingerprint()``;
 #: the ``numerics=`` token left with the fast-numerics tier.
-_EMULATION_SCHEMA = "emu-v3"
+#: emu-v4: ``LinkConfig`` lost its engine-selection field, so the config
+#: tokens changed (the one remaining inversion is the old default).
+_EMULATION_SCHEMA = "emu-v4"
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,7 @@ def emulation_context_fingerprint(video: Video, qoe: Optional[QoEMetric] = None,
     The emulation analogue of :func:`repro.core.results.context_fingerprint`:
     covers the environment label, the engine configuration (dtype and the
     kernel compiler, only round-off-equivalent across values), the full
-    :class:`EmulationConfig` — including ``link.delivery_engine``, whose
-    prefix/bisect inversions agree to ~1e-14 but **not** bitwise — the
-    video and the QoE metric.
+    :class:`EmulationConfig`, the video and the QoE metric.
 
     Deliberately excluded: every :class:`~repro.emulation.fleet.FleetConfig`
     field (arrival process/rate/seed, batch window, max batch).  Those are

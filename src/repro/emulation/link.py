@@ -8,32 +8,24 @@ delivery-opportunity schedule and exposes the primitive the TCP model needs:
 inverse, "at what time will ``n`` bytes have been delivered if transmission
 starts at ``t0``".
 
-The inverse comes in two engines, mirroring the simulator's
-``download_engine`` pair (``prefix_sum`` fast path / ``segment_walk``
-reference):
-
-* ``"prefix"`` (default) — analytic inversion of the cumulative
-  delivery-opportunity prefix (the same prefix-lookup idiom as
-  :meth:`repro.traces.base.Trace.capacity_prefix`): one ``bisect_left``
-  over the per-window cumulative packet counts finds the delivery window,
-  a division finds the position inside it, and a short ``nextafter``
-  fix-up re-counts packets until the target is reached.  O(log windows)
-  per inversion.
-* ``"bisect"`` — the original cycle-doubling + 64-iteration binary search
-  over :meth:`PacketDeliveryLink._packets_before`, kept as the tested
-  reference.  O(64 · log windows) per inversion.
+The inverse is an analytic inversion of the cumulative delivery-opportunity
+prefix (the same prefix-lookup idiom as
+:meth:`repro.traces.base.Trace.capacity_prefix`): one ``bisect_left`` over
+the per-window cumulative packet counts finds the delivery window, a
+division finds the position inside it, and a short ``nextafter`` fix-up
+re-counts packets until the target is reached.  O(log windows) per
+inversion.  The original cycle-doubling + 64-iteration binary search
+(:meth:`PacketDeliveryLink._invert_bisect`) stays as the fix-up's safety
+fallback; the round loop that used it for every inversion is kept as the
+test oracle in ``tests/reference_engines.py``.
 
 A transfer inverts the schedule once per TCP round (about 94 rounds per
 chunk on the serving workload), so the round loop in
 :meth:`repro.emulation.tcp.TCPConnection.transfer` runs the inversion
 inline on this module's cached schedule rather than calling
 :meth:`PacketDeliveryLink.time_to_deliver`, which stays the one-shot API.
-On the prefix engine the loop skips the inversion in rounds the link is
-ahead of, with the same result.
-
-The two engines agree to floating-point inversion accuracy but are not
-bit-identical, so ``delivery_engine`` is part of the emulation result-store
-key (see :func:`repro.emulation.emulator.emulation_context_fingerprint`).
+The loop skips the inversion in rounds the link is ahead of, with the same
+result.
 
 Delivery schedules are deterministic functions of ``(trace, granularity)``;
 they are cached per trace in a weak-keyed module cache so a fleet of
@@ -53,13 +45,10 @@ import numpy as np
 
 from ..traces.base import Trace
 
-__all__ = ["LinkConfig", "PacketDeliveryLink", "DELIVERY_ENGINES"]
+__all__ = ["LinkConfig", "PacketDeliveryLink"]
 
 MTU_BYTES = 1500
 BITS_PER_BYTE = 8
-
-#: Supported values for :attr:`LinkConfig.delivery_engine`.
-DELIVERY_ENGINES = ("prefix", "bisect")
 
 
 @dataclass(frozen=True)
@@ -72,14 +61,6 @@ class LinkConfig:
     granularity_ms: int = 100
     #: Random per-packet jitter applied to delivery times (std dev, seconds).
     jitter_std_s: float = 0.0
-    #: How the delivery schedule is inverted (by
-    #: :meth:`PacketDeliveryLink.time_to_deliver` and in every round of
-    #: :meth:`repro.emulation.tcp.TCPConnection.transfer`): ``"prefix"``
-    #: (analytic prefix lookup, fast default) or ``"bisect"`` (binary
-    #: search, the tested reference).  The engines agree to inversion
-    #: accuracy but not bitwise, so this field is keyed into the emulation
-    #: result store.
-    delivery_engine: str = "prefix"
 
     @property
     def rtt_s(self) -> float:
@@ -152,10 +133,6 @@ class PacketDeliveryLink:
     def __init__(self, trace: Trace, config: Optional[LinkConfig] = None) -> None:
         self.trace = trace
         self.config = config or LinkConfig()
-        if self.config.delivery_engine not in DELIVERY_ENGINES:
-            raise ValueError(
-                f"unknown delivery engine {self.config.delivery_engine!r}; "
-                f"expected one of {DELIVERY_ENGINES}")
         (self._packets_per_window, self._cumulative, self._granularity_s,
          self._cycle_s, self._cycle_packets, self._pw_list,
          self._cum_list) = _delivery_schedule(trace, self.config.granularity_ms)
@@ -212,19 +189,14 @@ class PacketDeliveryLink:
         if self._cycle_packets == 0:
             raise RuntimeError("link trace has zero capacity; nothing can be delivered")
         target = self._packets_before(start_s) + packets_needed
-
-        if self.config.delivery_engine == "bisect":
-            link_limited_end = self._invert_bisect(start_s, target)
-        else:
-            link_limited_end = self._invert_prefix(target)
-
+        link_limited_end = self._invert_prefix(target)
         if rate_cap_bytes_per_s is not None and rate_cap_bytes_per_s > 0:
             sender_limited_end = start_s + num_bytes / rate_cap_bytes_per_s
             return max(link_limited_end, sender_limited_end)
         return link_limited_end
 
     def _invert_bisect(self, start_s: float, target: int) -> float:
-        """Reference inversion: binary search over time for the target count."""
+        """Binary search over time for the target count (the fallback)."""
         low = start_s
         high = start_s + self._cycle_s
         while self._packets_before(high) < target:
@@ -245,9 +217,9 @@ class PacketDeliveryLink:
         inside the window by the uniform-spread model ``count = ⌊pw·frac⌋``.
         A bounded ``nextafter`` fix-up absorbs the few-ulp rounding of the
         analytic division so the invariant ``_packets_before(t) >= target``
-        (the property the bisect reference converges to) always holds; if
-        the fix-up budget is ever exhausted the bisect reference answers
-        instead, so the engine can only disagree with the model by ulps,
+        (the property the binary search converges to) always holds; if
+        the fix-up budget is ever exhausted :meth:`_invert_bisect` answers
+        instead, so the inversion can only disagree with the model by ulps,
         never by packets.
         """
         cycles, rem = divmod(target, self._cycle_packets)

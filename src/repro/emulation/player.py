@@ -17,7 +17,7 @@ the simulator, so any policy (baseline or RL agent) runs unmodified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from ..abr.env import HISTORY_LENGTH, ChunkRecord, Observation, SessionResult
 from ..abr.qoe import LinearQoE, QoEMetric
 from ..abr.video import Video
 from .http import HTTPClient, HTTPConfig
-from .link import LinkConfig, PacketDeliveryLink
+from .link import PacketDeliveryLink
 from .tcp import TCPConfig
 
 __all__ = ["PlayerConfig", "PlayerEvent", "DashPlayer"]

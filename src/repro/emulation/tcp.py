@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .link import MTU_BYTES, LinkConfig, PacketDeliveryLink
+from .link import MTU_BYTES, PacketDeliveryLink
 
 __all__ = ["TCPConfig", "TCPConnection", "TransferResult"]
 
@@ -86,13 +86,13 @@ class TCPConnection:
         cached schedule and the congestion state live in locals, and each
         round ends exactly where the one-shot ``link.time_to_deliver(now,
         to_send, rate_cap_bytes_per_s=window_bytes / rtt)``
-        (``_packets_before`` of the round start, then ``_invert_prefix`` or
-        ``_invert_bisect``) would end it.  Except for the two skips below,
-        it performs the same float operations in the same order, so results
-        are bit-identical to calling it per round; that composition is kept
-        as the oracle in ``tests/test_tcp_rounds.py``.
+        (``_packets_before`` of the round start, then ``_invert_prefix``)
+        would end it.  Except for the two skips below, it performs the same
+        float operations in the same order, so results are bit-identical to
+        calling it per round; that composition is kept as the oracle in
+        ``tests/reference_engines.py``.
 
-        On the prefix engine the loop skips two pieces of work:
+        The loop skips two pieces of work:
 
         * **Rounds the link is ahead of skip the inversion.**  A round never
           ends before its clock, the later of the sender's window clock
@@ -114,14 +114,13 @@ class TCPConnection:
 
         Both rest on the fix-up converging within its 64-step budget, so
         that the bisect fallback never answers; the tests bound the walk
-        at 4 steps.  The ``bisect`` engine keeps its full inversion.
+        at 4 steps.
         """
         if num_bytes <= 0:
             return TransferResult(start_s, start_s, 0.0, 0.0)
         self._maybe_idle_reset(start_s)
         link = self.link
         rtt = link.config.rtt_s
-        bisect_engine = link.config.delivery_engine == "bisect"
         pw = link._pw_list
         cum = link._cum_list
         n_windows = link._n_windows
@@ -155,48 +154,45 @@ class TCPConnection:
                 target = start_count + math.ceil(to_send / MTU_BYTES)
                 sender_end = (now + to_send / cap_rate if cap_rate > 0
                               else -math.inf)
-                if bisect_engine:
-                    link_end = link._invert_bisect(now, target)
+                # Prefix inversion: the cycle by integer division, the
+                # window by one bisect over the cumulative counts, the
+                # position inside it by the uniform-spread model, then a
+                # bounded nextafter fix-up on the packet count (an inlined
+                # ``_packets_before``; ``t`` is always positive here).
+                cycles, rem = divmod(target, cycle_packets)
+                if rem == 0:
+                    cycles -= 1
+                    rem = cycle_packets
+                w = bisect_left(cum, rem) - 1
+                t = (cycles * cycle_s
+                     + (w + (rem - cum[w]) / pw[w]) * granularity_s)
+                # The round cannot end before its clock (the sender's
+                # window clock or one RTT), so the fix-up may start
+                # there: if the link is ahead of the round, the first
+                # count confirms it and the round ends on its clock.
+                clock_end = sender_end if sender_end > rtt_end else rtt_end
+                if t < clock_end:
+                    t = clock_end
+                for _ in range(64):
+                    full_cycles = int(t // cycle_s)
+                    remainder_s = t - full_cycles * cycle_s
+                    window = int(remainder_s / granularity_s)
+                    if window > n_windows:
+                        window = n_windows
+                    partial = cum[window]
+                    if window < n_windows:
+                        partial += int(pw[window] * (
+                            (remainder_s - window * granularity_s)
+                            / granularity_s))
+                    count = full_cycles * cycle_packets + partial
+                    if count >= target:
+                        break
+                    t = math.nextafter(t, math.inf)
                 else:
-                    # Prefix inversion: the cycle by integer division, the
-                    # window by one bisect over the cumulative counts, the
-                    # position inside it by the uniform-spread model, then a
-                    # bounded nextafter fix-up on the packet count (an inlined
-                    # ``_packets_before``; ``t`` is always positive here).
-                    cycles, rem = divmod(target, cycle_packets)
-                    if rem == 0:
-                        cycles -= 1
-                        rem = cycle_packets
-                    w = bisect_left(cum, rem) - 1
-                    t = (cycles * cycle_s
-                         + (w + (rem - cum[w]) / pw[w]) * granularity_s)
-                    # The round cannot end before its clock (the sender's
-                    # window clock or one RTT), so the fix-up may start
-                    # there: if the link is ahead of the round, the first
-                    # count confirms it and the round ends on its clock.
-                    clock_end = sender_end if sender_end > rtt_end else rtt_end
-                    if t < clock_end:
-                        t = clock_end
-                    for _ in range(64):
-                        full_cycles = int(t // cycle_s)
-                        remainder_s = t - full_cycles * cycle_s
-                        window = int(remainder_s / granularity_s)
-                        if window > n_windows:
-                            window = n_windows
-                        partial = cum[window]
-                        if window < n_windows:
-                            partial += int(pw[window] * (
-                                (remainder_s - window * granularity_s)
-                                / granularity_s))
-                        count = full_cycles * cycle_packets + partial
-                        if count >= target:
-                            break
-                        t = math.nextafter(t, math.inf)
-                    else:
-                        count = None
-                        t = link._invert_bisect(max(0.0, cycles * cycle_s),
-                                                target)
-                    link_end = t
+                    count = None
+                    t = link._invert_bisect(max(0.0, cycles * cycle_s),
+                                            target)
+                link_end = t
                 delivered_by = (sender_end if sender_end > link_end
                                 else link_end)
             link_was_bottleneck = delivered_by > rtt_end + 1e-9

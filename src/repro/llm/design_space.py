@@ -22,8 +22,8 @@ The grammar covers:
 from __future__ import annotations
 
 import textwrap
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 

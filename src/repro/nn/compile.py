@@ -47,8 +47,7 @@ import numpy as np
 
 from .engine import current, get_default_dtype
 from .layers import (Conv1D, Dense, Dropout, Flatten, GRUCell, LayerNorm,
-                     LSTMCell, Module, Parameter, Recurrent, RNNCell,
-                     Sequential)
+                     LSTMCell, Module, Parameter, Recurrent, Sequential)
 
 __all__ = [
     "CompileError",

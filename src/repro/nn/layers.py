@@ -8,13 +8,13 @@ activations and widths).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import init as initializers
 from .activations import get_activation
-from .tensor import Tensor, concatenate, stack, unfold1d
+from .tensor import Tensor, unfold1d
 
 __all__ = [
     "Module",

@@ -18,7 +18,7 @@ dedicated per-seed variant in :func:`clip_grad_norm_stacked`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 

@@ -208,13 +208,12 @@ class A2CTrainer:
                 callback(stats)
         return stats_list
 
-    def evaluate_checkpoint(self, traces: TraceSet, greedy: bool = True,
-                            batched: bool = True) -> List[float]:
+    def evaluate_checkpoint(self, traces: TraceSet,
+                            greedy: bool = True) -> List[float]:
         """``[evaluate_agent(...)]`` for this seed, like a one-seed stack."""
         return [evaluate_agent(self.agent, self.video, traces, qoe=self.qoe,
                                simulator_config=self.simulator_config,
-                               greedy=greedy, seed=self.seed,
-                               batched=batched)]
+                               greedy=greedy, seed=self.seed)]
 
     # ------------------------------------------------------------------ #
     def _graph_update(self, states_array: np.ndarray, actions: np.ndarray,
@@ -246,17 +245,17 @@ def evaluate_agent(agent: ABRAgent, video: Video, traces: TraceSet,
                    qoe: Optional[QoEMetric] = None,
                    simulator_config: Optional[SimulatorConfig] = None,
                    greedy: bool = True,
-                   seed: Optional[int] = None,
-                   batched: bool = True) -> float:
+                   seed: Optional[int] = None) -> float:
     """Mean per-chunk reward of ``agent`` across every trace in ``traces``.
 
     This is the quantity plotted on the y-axis of Figures 3 and 4 ("test
-    score" before seed-aggregation).  With ``batched=True`` (default) greedy,
-    noise-free evaluations step every trace in lockstep with one batched
+    score" before seed-aggregation).  Greedy, noise-free evaluations over
+    more than one trace step every trace in lockstep with one batched
     policy forward per chunk — same decisions, a fraction of the forwards.
+    Noisy or stochastic evaluations play the traces one after another on
+    one ``seed``-ed generator.
     """
-    noise_free = simulator_config is None or simulator_config.bandwidth_noise_std == 0
-    if batched and greedy and noise_free and len(traces) > 1:
+    if _lockstep_applies(traces, greedy, simulator_config):
         return evaluate_agent_batched(agent, video, traces, qoe=qoe,
                                       simulator_config=simulator_config)
     rng = np.random.default_rng(seed)
@@ -268,6 +267,19 @@ def evaluate_agent(agent: ABRAgent, video: Video, traces: TraceSet,
                                      greedy=greedy)
         rewards.append(trajectory.mean_reward)
     return float(np.mean(rewards))
+
+
+def _lockstep_applies(traces: TraceSet, greedy: bool,
+                      simulator_config: Optional[SimulatorConfig]) -> bool:
+    """Whether an evaluation can step its traces in greedy lockstep.
+
+    Greedy decisions consume no randomness, so only bandwidth noise (which
+    draws from the simulator RNG chunk by chunk) ties a trace's result to
+    the serial order; with one trace there is nothing to batch.
+    """
+    noise_free = (simulator_config is None
+                  or simulator_config.bandwidth_noise_std == 0)
+    return greedy and noise_free and len(traces) > 1
 
 
 def _original_states_lockstep(sessions, video, ladder: np.ndarray,
@@ -561,20 +573,18 @@ class MultiSeedA2CTrainer:
         return actor_losses, critic_losses, entropies, grad_norms
 
     # ------------------------------------------------------------------ #
-    def evaluate_checkpoint(self, traces: TraceSet, greedy: bool = True,
-                            batched: bool = True) -> List[float]:
+    def evaluate_checkpoint(self, traces: TraceSet,
+                            greedy: bool = True) -> List[float]:
         """Per-seed test scores, matching ``evaluate_agent`` seed for seed.
 
-        When the batched greedy path applies, the seeds evaluate one after
+        When greedy lockstep applies, the seeds evaluate one after
         another (seed-major): each seed's ``traces`` sessions step in
         lockstep with one ``seed_policy_forward`` per chunk over that seed's
         weights (reusing the :func:`evaluate_agent_batched` loop); otherwise
         each seed evaluates through the identical serial ``evaluate_agent``
         call, preserving its RNG consumption exactly.
         """
-        noise_free = (self.simulator_config is None
-                      or self.simulator_config.bandwidth_noise_std == 0)
-        if batched and greedy and noise_free and len(traces) > 1:
+        if _lockstep_applies(traces, greedy, self.simulator_config):
             scores = []
             buffer = np.empty((len(traces),) + self.stack.state_shape)
             for index, agent in enumerate(self.agents):
@@ -597,7 +607,7 @@ class MultiSeedA2CTrainer:
             return scores
         return [evaluate_agent(agent, self.video, traces, qoe=self.qoe,
                                simulator_config=self.simulator_config,
-                               greedy=greedy, seed=seed, batched=batched)
+                               greedy=greedy, seed=seed)
                 for agent, seed in zip(self.agents, self.seeds)]
 
 

@@ -11,7 +11,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .. import nn
 from ..abr.env import Observation
 from ..abr.networks import ActorCriticNetwork, original_network_builder
 from ..abr.state import StateFunction

@@ -9,7 +9,7 @@ samples which is replayed cyclically when a session outlasts the trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np

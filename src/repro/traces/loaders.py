@@ -13,7 +13,7 @@ Two external formats are supported:
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

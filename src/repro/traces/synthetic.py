@@ -23,7 +23,6 @@ tests and benchmarks).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 

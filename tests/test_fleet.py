@@ -27,7 +27,6 @@ from repro.core import blas, telemetry
 from repro.core.results import ResultStore
 from repro.emulation import (
     BatchedPolicy,
-    EmulationConfig,
     Emulator,
     Fleet,
     FleetConfig,
@@ -43,6 +42,8 @@ from repro.emulation.link import _SCHEDULE_CACHE
 from repro.emulation.player import DashPlayer
 from repro.rl.agent import ABRAgent
 from repro.traces import Trace, generate_fcc_trace, generate_starlink_trace
+
+from reference_engines import reference_time_to_deliver
 
 
 def _signature(result):
@@ -76,26 +77,22 @@ def agent(serve_video, trace_mix):
 class TestDeliveryEngines:
     def test_prefix_and_bisect_agree_to_inversion_accuracy(self, trace_mix):
         for trace in trace_mix:
-            fast = PacketDeliveryLink(trace, LinkConfig(delivery_engine="prefix"))
-            reference = PacketDeliveryLink(trace, LinkConfig(delivery_engine="bisect"))
+            link = PacketDeliveryLink(trace)
             rng = np.random.default_rng(3)
             for _ in range(40):
                 start = float(rng.uniform(0.0, 300.0))
                 num_bytes = float(rng.uniform(1e3, 2e6))
                 cap = (None if rng.random() < 0.5
                        else float(rng.uniform(1e4, 1e6)))
-                a = fast.time_to_deliver(start, num_bytes, rate_cap_bytes_per_s=cap)
-                b = reference.time_to_deliver(start, num_bytes, rate_cap_bytes_per_s=cap)
+                a = link.time_to_deliver(start, num_bytes, rate_cap_bytes_per_s=cap)
+                b = reference_time_to_deliver(link, start, num_bytes, cap,
+                                              bisect=True)
                 assert a == pytest.approx(b, abs=1e-9)
-
-    def test_unknown_engine_rejected(self, trace_mix):
-        with pytest.raises(ValueError):
-            PacketDeliveryLink(trace_mix[0], LinkConfig(delivery_engine="walk"))
 
     def test_schedule_cache_shared_between_links(self, trace_mix):
         trace = trace_mix[0]
-        first = PacketDeliveryLink(trace, LinkConfig(delivery_engine="prefix"))
-        second = PacketDeliveryLink(trace, LinkConfig(delivery_engine="bisect"))
+        first = PacketDeliveryLink(trace, LinkConfig())
+        second = PacketDeliveryLink(trace, LinkConfig(one_way_delay_s=0.01))
         assert first._cumulative is second._cumulative
         assert trace in _SCHEDULE_CACHE
 
@@ -593,15 +590,6 @@ class TestEmulationStore:
         assert np.isfinite(score)
         assert store.puts == 0
         assert policy_fingerprint(BufferBasedPolicy()) is None
-
-    def test_delivery_engine_is_key_material(self, serve_video):
-        prefix = emulation_context_fingerprint(
-            serve_video, config=EmulationConfig(
-                link=LinkConfig(delivery_engine="prefix")))
-        bisect = emulation_context_fingerprint(
-            serve_video, config=EmulationConfig(
-                link=LinkConfig(delivery_engine="bisect")))
-        assert prefix != bisect
 
     def test_key_depends_on_weights_and_discipline(self, serve_video,
                                                    trace_mix, agent):

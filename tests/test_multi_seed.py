@@ -112,8 +112,7 @@ def test_lockstep_matches_serial_seed_for_seed(env_setup, dtype, dtype_guard,
         assert multi_scores[index] == score
         assert score == evaluate_agent(single.agents[0], setup.video,
                                        setup.test_traces, qoe=setup.qoe,
-                                       greedy=True, seed=SEEDS[index],
-                                       batched=True)
+                                       greedy=True, seed=SEEDS[index])
 
 
 def test_one_seed_stack_update_matches_autograd_reference(env_setup,

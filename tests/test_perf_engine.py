@@ -2,10 +2,10 @@
 
 Covers the two layers of the vectorized/parallel evaluation engine:
 
-* prefix-sum downloads == segment-walk downloads (random traces, offsets,
+* prefix-sum downloads == the segment-walk oracle (random traces, offsets,
   noise, zero-throughput segments, multi-cycle wraps);
 * serial TestScoreProtocol == parallel TestScoreProtocol, bit for bit;
-* batched greedy evaluation == serial greedy evaluation;
+* lockstep greedy evaluation == the serial-evaluation oracle;
 * the fused analytic A2C update == the autograd update;
 * vectorized discounted returns == the scalar recurrence;
 * the dtype knob, the exact download-termination bound, and the
@@ -28,6 +28,10 @@ from repro.rl.a2c import evaluate_agent, evaluate_agent_batched
 from repro.rl.rollout import discounted_returns
 from repro.traces.base import Trace, TraceSet
 
+import reference_engines
+from reference_engines import (segment_walk_download, serial_evaluate_agent,
+                               use_segment_walk)
+
 
 def _random_trace(rng: np.random.Generator, index: int) -> Trace:
     n = int(rng.integers(4, 50))
@@ -42,17 +46,15 @@ def _random_trace(rng: np.random.Generator, index: int) -> Trace:
 
 class TestDownloadEngineEquivalence:
     def test_prefix_sum_matches_segment_walk(self):
-        """Property: both engines compute the same download time from the
-        same simulator state, across random traces, offsets, noise and
-        chunk sizes."""
+        """Property: the download and the segment-walk oracle compute the
+        same download time from the same simulator state, across random
+        traces, offsets, noise and chunk sizes."""
         rng = np.random.default_rng(1234)
         video = synthetic_video("standard", num_chunks=8, seed=3)
         for index in range(25):
             trace = _random_trace(rng, index)
-            fast = ChunkLevelSimulator(
-                video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-            slow = ChunkLevelSimulator(
-                video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+            fast = ChunkLevelSimulator(video, trace)
+            slow = use_segment_walk(ChunkLevelSimulator(video, trace))
             for _ in range(12):
                 offset = float(rng.uniform(0, trace.duration_s))
                 noise = float(rng.uniform(0.3, 1.7)) if index % 4 == 0 else 1.0
@@ -68,22 +70,19 @@ class TestDownloadEngineEquivalence:
         """A chunk larger than one replay cycle wraps and still agrees."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 5.0, 10.0], [0.001, 0.0, 0.002], name="dead-link")
-        fast = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-        slow = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        fast = ChunkLevelSimulator(video, trace)
+        slow = use_segment_walk(ChunkLevelSimulator(video, trace))
         fast.reset(start_offset_s=2.0)
         slow.reset(start_offset_s=2.0)
         assert fast._download(1e4, 1.0) == pytest.approx(
             slow._download(1e4, 1.0), rel=1e-9)
 
     def test_flat_trace_closed_form(self):
-        """On a constant link the prefix engine is exactly bytes/rate."""
+        """On a constant link the download is exactly bytes/rate."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         timestamps = np.arange(0.0, 100.0, 1.0)
         trace = Trace(timestamps, np.full_like(timestamps, 4.0), name="flat")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
+        sim = ChunkLevelSimulator(video, trace)
         chunk_bytes = 1e6
         expected = chunk_bytes / (4.0 * 1e6 / 8.0 * sim.config.payload_fraction)
         assert sim._download(chunk_bytes, 1.0) == pytest.approx(expected, rel=1e-12)
@@ -93,10 +92,8 @@ class TestDownloadEngineEquivalence:
         rng = np.random.default_rng(7)
         video = synthetic_video("standard", num_chunks=10, seed=2)
         trace = _random_trace(rng, 1)
-        fast = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-        slow = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        fast = ChunkLevelSimulator(video, trace)
+        slow = use_segment_walk(ChunkLevelSimulator(video, trace))
         for chunk in range(video.num_chunks):
             bitrate = int(rng.integers(0, video.num_bitrates))
             result_fast = fast.step(bitrate)
@@ -109,14 +106,6 @@ class TestDownloadEngineEquivalence:
             slow._time_in_trace_s = fast._time_in_trace_s
             slow._buffer_s = fast._buffer_s
 
-    def test_unknown_engine_rejected(self):
-        video = synthetic_video("standard", num_chunks=4, seed=0)
-        trace = Trace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="bogus"))
-        with pytest.raises(ValueError, match="bogus"):
-            sim.step(0)
-
 
 class TestDownloadTerminationBound:
     def test_error_names_trace_when_walk_cannot_finish(self, monkeypatch):
@@ -124,34 +113,29 @@ class TestDownloadTerminationBound:
         descriptive error naming the trace."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], name="stuck-trace")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
-        monkeypatch.setattr(
-            ChunkLevelSimulator, "_segment_view", lambda self: (1.0, 1e-12))
+        sim = ChunkLevelSimulator(video, trace)
+        monkeypatch.setattr(reference_engines, "segment_view",
+                            lambda sim: (1.0, 1e-12))
         with pytest.raises(RuntimeError, match="stuck-trace"):
-            sim._download(1e6, 1.0)
+            segment_walk_download(sim, 1e6, 1.0)
 
     def test_bound_is_generous_for_legitimate_downloads(self):
         """Normal downloads never trip the bound, even multi-cycle ones."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 1.0, 2.0], [0.05, 0.05, 0.05], name="slow")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
-        assert sim._download(5e5, 1.0) > 0
+        sim = ChunkLevelSimulator(video, trace)
+        assert segment_walk_download(sim, 5e5, 1.0) > 0
 
     def test_dead_link_fails_fast_instead_of_walking(self):
         """An effectively dead link raises immediately (naming the trace)
         rather than spending minutes walking tens of millions of segments."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], name="all-zero")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        sim = ChunkLevelSimulator(video, trace)
         with pytest.raises(RuntimeError, match="all-zero"):
-            sim._download(5e6, 1.0)
-        # The prefix-sum engine resolves the same download in closed form.
-        fast = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-        assert np.isfinite(fast._download(5e6, 1.0))
+            segment_walk_download(sim, 5e6, 1.0)
+        # The prefix-sum download resolves the same chunk in closed form.
+        assert np.isfinite(sim._download(5e6, 1.0))
 
     def test_capacity_prefix_cache_is_bounded(self):
         """Per-download noise floors must not grow the trace cache unboundedly."""
@@ -160,8 +144,7 @@ class TestDownloadTerminationBound:
         trace = Trace(timestamps, np.full_like(timestamps, 3.0), name="noisy")
         sim = ChunkLevelSimulator(
             video, trace,
-            config=SimulatorConfig(bandwidth_noise_std=0.3,
-                                   download_engine="prefix_sum"),
+            config=SimulatorConfig(bandwidth_noise_std=0.3),
             rng=np.random.default_rng(0))
         for _ in range(50):
             sim.reset(start_offset_s=0.0)
@@ -210,10 +193,10 @@ class TestBatchedEvaluation:
         scale = ExperimentScale(dataset_scale=0.02, num_chunks=8)
         setup = build_environment("fcc", scale)
         agent = _make_agent(setup)
-        serial = evaluate_agent(agent, setup.video, setup.test_traces,
-                                qoe=setup.qoe, batched=False)
+        serial = serial_evaluate_agent(agent, setup.video, setup.test_traces,
+                                       qoe=setup.qoe)
         batched = evaluate_agent(agent, setup.video, setup.test_traces,
-                                 qoe=setup.qoe, batched=True)
+                                 qoe=setup.qoe)
         direct = evaluate_agent_batched(agent, setup.video, setup.test_traces,
                                         qoe=setup.qoe)
         assert batched == pytest.approx(serial, rel=1e-9)
@@ -227,10 +210,10 @@ class TestBatchedEvaluation:
         noisy = SimulatorConfig(bandwidth_noise_std=0.2)
         score_a = evaluate_agent(agent, setup.video, setup.test_traces,
                                  qoe=setup.qoe, simulator_config=noisy,
-                                 seed=3, batched=True)
-        score_b = evaluate_agent(agent, setup.video, setup.test_traces,
-                                 qoe=setup.qoe, simulator_config=noisy,
-                                 seed=3, batched=False)
+                                 seed=3)
+        score_b = serial_evaluate_agent(agent, setup.video, setup.test_traces,
+                                        qoe=setup.qoe, simulator_config=noisy,
+                                        seed=3)
         assert score_a == score_b
 
 

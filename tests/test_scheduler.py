@@ -242,17 +242,11 @@ class TestResultStore:
         assert not result.cached
         assert len(result.runs[0].reward_history) == TINY.train_epochs + 3
 
-    def test_engine_toggles_do_not_invalidate(self):
-        """Batched evaluation is a bit-identical engine, not key material."""
+    def test_engine_config_is_key_material(self):
+        """The engine configuration and result-shaping fields are keyed."""
         from dataclasses import replace as dc_replace
         trainer = _trainer("fcc")
         base = context_fingerprint(trainer, "fcc")
-        toggled = DesignTrainer(trainer.video, trainer.train_traces,
-                                trainer.test_traces,
-                                config=dc_replace(trainer.config,
-                                                  batched_evaluation=False),
-                                qoe=trainer.qoe)
-        assert context_fingerprint(toggled, "fcc") == base
         # The engine configuration is key material, field by field.
         for change in ({"compile": False}, {"dtype": "float32"}):
             with nn.engine.using(dc_replace(nn.engine.current(), **change)):

@@ -330,14 +330,18 @@ class TestContractLinter:
         assert errors == [], "\n".join(f.render() for f in errors)
 
     def test_violations_are_detected(self, tmp_path):
-        # A synthetic source tree violating the RNG, picklability and
-        # store-key contracts; the linter must flag each.
+        # A synthetic source tree violating the RNG, picklability,
+        # store-key and unused-import contracts; the linter must flag each.
         bad = tmp_path / "repro"
         (bad / "core").mkdir(parents=True)
         (bad / "core" / "busted.py").write_text(
+            "import os\n"
+            "from typing import Dict\n\n"
             "import numpy as np\n"
-            "from .parallel import run_resilient\n\n"
-            "_TURBO = False\n\n\n"
+            "from .parallel import ParallelConfig, run_resilient\n\n"
+            "__all__ = ['ParallelConfig']\n\n"
+            "_TURBO = False\n"
+            "_SEEN: 'Dict[str, int]' = {}\n\n\n"
             "def draw():\n"
             "    return np.random.rand(4)\n\n\n"
             "def enable_turbo():\n"
@@ -386,6 +390,24 @@ class TestContractLinter:
         assert any(m.startswith("emulation/emulator.py no longer defines "
                                 "emulation_context_fingerprint")
                    for m in key_messages)
+        unused = [f.message for f in findings
+                  if f.rule == "repo.unused-import"]
+        assert unused == ["'os' is imported but never used; delete the "
+                          "import (or list the name in __all__ to "
+                          "re-export it)"]
+
+    def test_import_another_module_takes_is_kept(self, tmp_path):
+        tree = tmp_path / "repro"
+        (tree / "core").mkdir(parents=True)
+        (tree / "core" / "paths.py").write_text(
+            "from pathlib import Path, PurePath\n")
+        (tree / "core" / "user.py").write_text(
+            "from .paths import Path\n\n\n"
+            "def home():\n"
+            "    return Path.home()\n")
+        messages = [f.message for f in lint_repo(str(tree))
+                    if f.rule == "repo.unused-import"]
+        assert len(messages) == 1 and messages[0].startswith("'PurePath'")
 
     def test_engine_fingerprint_must_read_every_field(self, tmp_path):
         tree = tmp_path / "repro"

@@ -1,15 +1,15 @@
 """Oracle tests for the fused TCP round loop in ``TCPConnection.transfer``.
 
 ``TCPConnection.transfer`` fuses the per-RTT round loop with the link's
-delivery-schedule inversion.  The reference below is the unfused
-composition it replaced, kept verbatim: every round calls the one-shot
-``time_to_deliver`` (``_packets_before`` of the round start, then the prefix
-or bisect inversion).  The fused loop must reproduce it bit for bit — end
-time, throughput and the connection's congestion state after every transfer
-— on both delivery engines, and a fleet must stay bit-identical to a serial
-run that uses the reference.
+delivery-schedule inversion.  Its oracle, ``reference_transfer`` in
+``reference_engines.py``, is the unfused composition it replaced, kept
+verbatim: every round calls the one-shot ``time_to_deliver``
+(``_packets_before`` of the round start, then the prefix inversion).  The
+fused loop must reproduce it bit for bit — end time, throughput and the
+connection's congestion state after every transfer — and a fleet must stay
+bit-identical to a serial run that uses the reference.
 
-On the prefix engine the fused loop starts the inversion's ``nextafter``
+The fused loop starts the inversion's ``nextafter``
 fix-up at the round's clock (the later of the sender's window clock and one
 RTT) when the analytic start lies before it, so a round the link is ahead
 of costs one packet count.  The constructed rounds below put that clock
@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.abr import synthetic_video
 from repro.emulation import (
-    EmulationConfig,
     Fleet,
     FleetConfig,
     LinkConfig,
@@ -45,84 +44,8 @@ from repro.emulation.player import DashPlayer
 from repro.rl.agent import ABRAgent
 from repro.traces import Trace, generate_fcc_trace, generate_starlink_trace
 
-
-# --------------------------------------------------------------------------- #
-# The reference: the unfused round composition.
-# --------------------------------------------------------------------------- #
-def reference_invert_prefix(link: PacketDeliveryLink, target: int) -> float:
-    cycles, rem = divmod(target, link._cycle_packets)
-    if rem == 0:
-        cycles -= 1
-        rem = link._cycle_packets
-    w = bisect_left(link._cum_list, rem) - 1
-    within = rem - link._cum_list[w]
-    window_packets = link._pw_list[w]
-    t = cycles * link._cycle_s + (w + within / window_packets) * link._granularity_s
-    for _ in range(64):
-        if link._packets_before(t) >= target:
-            return t
-        t = float(np.nextafter(t, np.inf))
-    return link._invert_bisect(max(0.0, cycles * link._cycle_s), target)
-
-
-def reference_time_to_deliver(link: PacketDeliveryLink, start_s: float,
-                              num_bytes: float,
-                              rate_cap_bytes_per_s: Optional[float] = None
-                              ) -> float:
-    if num_bytes <= 0:
-        return start_s
-    packets_needed = int(np.ceil(num_bytes / MTU_BYTES))
-    if link._cycle_packets == 0:
-        raise RuntimeError("link trace has zero capacity; nothing can be delivered")
-    target = link._packets_before(start_s) + packets_needed
-
-    if link.config.delivery_engine == "bisect":
-        link_limited_end = link._invert_bisect(start_s, target)
-    else:
-        link_limited_end = reference_invert_prefix(link, target)
-
-    if rate_cap_bytes_per_s is not None and rate_cap_bytes_per_s > 0:
-        sender_limited_end = start_s + num_bytes / rate_cap_bytes_per_s
-        return max(link_limited_end, sender_limited_end)
-    return link_limited_end
-
-
-def reference_transfer(self: TCPConnection, start_s: float,
-                       num_bytes: float) -> TransferResult:
-    if num_bytes <= 0:
-        return TransferResult(start_s, start_s, 0.0, 0.0)
-    self._maybe_idle_reset(start_s)
-    rtt = self.link.config.rtt_s
-    remaining = float(num_bytes)
-    now = start_s
-
-    while remaining > 0:
-        window_bytes = self.cwnd_segments * MTU_BYTES
-        to_send = min(window_bytes, remaining)
-        cap_rate = window_bytes / rtt
-        delivered_by = reference_time_to_deliver(self.link, now, to_send,
-                                                 rate_cap_bytes_per_s=cap_rate)
-        round_end = max(delivered_by, now + rtt)
-        link_was_bottleneck = delivered_by > now + rtt + 1e-9
-        remaining -= to_send
-        now = round_end
-
-        if link_was_bottleneck:
-            self.ssthresh_segments = max(2.0, self.cwnd_segments * self.config.loss_backoff)
-            self.cwnd_segments = self.ssthresh_segments
-        elif self.cwnd_segments < self.ssthresh_segments:
-            self.cwnd_segments = min(self.cwnd_segments * 2.0,
-                                     float(self.config.max_cwnd_segments))
-        else:
-            self.cwnd_segments = min(self.cwnd_segments + 1.0,
-                                     float(self.config.max_cwnd_segments))
-
-    self._last_activity_s = now
-    duration = max(now - start_s, 1e-9)
-    mbps = num_bytes * 8.0 / duration / 1e6
-    return TransferResult(start_s=start_s, end_s=now,
-                          bytes_transferred=float(num_bytes),
-                          mean_throughput_mbps=mbps)
+from reference_engines import (reference_invert_prefix,
+                               reference_time_to_deliver, reference_transfer)
 
 
 # --------------------------------------------------------------------------- #
@@ -194,15 +117,13 @@ TRANSFER_SEQUENCE = [(0.0, 0.0), (0.0, 1.0), (0.02, 1_499.0), (0.0, 1_501.0),
                      (0.3, 2_000_000.0)]
 
 
-@pytest.mark.parametrize("engine", ("prefix", "bisect"))
 @pytest.mark.parametrize("granularity_ms", GRANULARITIES_MS)
 @pytest.mark.parametrize("trace_kind", sorted(TRACES))
 @pytest.mark.parametrize("tcp_kind", sorted(TCP_CONFIGS))
-def test_fused_transfer_matches_reference_bitwise(engine, granularity_ms,
+def test_fused_transfer_matches_reference_bitwise(granularity_ms,
                                                   trace_kind, tcp_kind):
     link = PacketDeliveryLink(
-        TRACES[trace_kind](),
-        LinkConfig(granularity_ms=granularity_ms, delivery_engine=engine))
+        TRACES[trace_kind](), LinkConfig(granularity_ms=granularity_ms))
     for start_s in (0.0, 0.37, link.cycle_duration_s * 2.5):
         _assert_sequences_match(link, TCP_CONFIGS[tcp_kind], start_s,
                                 TRANSFER_SEQUENCE)
@@ -213,7 +134,6 @@ def test_fused_transfer_matches_reference_bitwise(engine, granularity_ms,
 @given(trace_seed=st.integers(0, 10_000),
        zero_fraction=st.sampled_from((0.0, 0.2, 0.5)),
        granularity_ms=st.sampled_from(GRANULARITIES_MS),
-       engine=st.sampled_from(("prefix", "bisect")),
        tcp_kind=st.sampled_from(sorted(TCP_CONFIGS)),
        delay_s=st.sampled_from((0.005, 0.04, 0.1)),
        start_cycles=st.floats(0.0, 4.0),
@@ -223,13 +143,12 @@ def test_fused_transfer_matches_reference_bitwise(engine, granularity_ms,
                                st.floats(3_000.0, 4_000_000.0))),
            min_size=1, max_size=6))
 def test_fused_transfer_matches_reference_property(trace_seed, zero_fraction,
-                                                   granularity_ms, engine,
-                                                   tcp_kind, delay_s,
-                                                   start_cycles, transfers):
+                                                   granularity_ms, tcp_kind,
+                                                   delay_s, start_cycles,
+                                                   transfers):
     link = PacketDeliveryLink(
         _random_trace(trace_seed, zero_fraction),
-        LinkConfig(one_way_delay_s=delay_s, granularity_ms=granularity_ms,
-                   delivery_engine=engine))
+        LinkConfig(one_way_delay_s=delay_s, granularity_ms=granularity_ms))
     _assert_sequences_match(link, TCP_CONFIGS[tcp_kind],
                             start_cycles * link.cycle_duration_s, transfers)
 
@@ -247,22 +166,19 @@ def test_zero_capacity_link_raises_like_reference():
 
 
 def test_one_shot_time_to_deliver_matches_reference():
-    for engine in ("prefix", "bisect"):
-        for kind, make in sorted(TRACES.items()):
-            link = PacketDeliveryLink(make(), LinkConfig(
-                granularity_ms=7, delivery_engine=engine))
-            rng = np.random.default_rng(5)
-            for _ in range(50):
-                start = float(rng.uniform(0.0, 3.0 * link.cycle_duration_s))
-                num_bytes = float(rng.choice([0.0, 1.0, 1500.0,
-                                              rng.uniform(1e3, 3e6)]))
-                cap = (None if rng.random() < 0.3
-                       else float(rng.uniform(1e3, 1e7)))
-                got = link.time_to_deliver(start, num_bytes,
-                                           rate_cap_bytes_per_s=cap)
-                expected = reference_time_to_deliver(link, start, num_bytes,
-                                                     cap)
-                assert _bits(got) == _bits(expected), (engine, kind, start)
+    for kind, make in sorted(TRACES.items()):
+        link = PacketDeliveryLink(make(), LinkConfig(granularity_ms=7))
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            start = float(rng.uniform(0.0, 3.0 * link.cycle_duration_s))
+            num_bytes = float(rng.choice([0.0, 1.0, 1500.0,
+                                          rng.uniform(1e3, 3e6)]))
+            cap = (None if rng.random() < 0.3
+                   else float(rng.uniform(1e3, 1e7)))
+            got = link.time_to_deliver(start, num_bytes,
+                                       rate_cap_bytes_per_s=cap)
+            expected = reference_time_to_deliver(link, start, num_bytes, cap)
+            assert _bits(got) == _bits(expected), (kind, start)
 
 
 # --------------------------------------------------------------------------- #
@@ -433,13 +349,10 @@ def _fast_trace() -> Trace:
 
 def test_final_partial_windows_on_a_fast_link():
     """Sender-limited transfers whose last round is a partial window."""
-    for engine in ("prefix", "bisect"):
-        link = PacketDeliveryLink(_fast_trace(),
-                                  LinkConfig(delivery_engine=engine))
-        bodies = [(0.0, (k + 0.37) * MTU_BYTES) for k in (5, 23, 150, 900)]
-        for tcp_kind in sorted(TCP_CONFIGS):
-            _assert_sequences_match(link, TCP_CONFIGS[tcp_kind], 0.01,
-                                    bodies)
+    link = PacketDeliveryLink(_fast_trace())
+    bodies = [(0.0, (k + 0.37) * MTU_BYTES) for k in (5, 23, 150, 900)]
+    for tcp_kind in sorted(TCP_CONFIGS):
+        _assert_sequences_match(link, TCP_CONFIGS[tcp_kind], 0.01, bodies)
 
 
 @pytest.mark.parametrize("cwnd", (10, 13, 19))
@@ -447,7 +360,7 @@ def test_final_partial_windows_on_a_fast_link():
 @pytest.mark.parametrize("trace_kind", sorted(TRACES) + ["fast"])
 def test_prefix_engine_counts_the_link_once_per_transfer(trace_kind, delay_s,
                                                          cwnd):
-    """Every prefix round ends on a time whose count the loop computed, so
+    """Every round ends on a time whose count the loop computed, so
     only a transfer's start calls ``_packets_before``.  At 12.3 ms a full
     window of 13 (19) segments has a sender clock an ulp after (before) the
     RTT end; near time zero that ulp survives the addition to ``now``."""
@@ -480,7 +393,7 @@ def test_prefix_engine_counts_the_link_once_per_transfer(trace_kind, delay_s,
 def test_prefix_fixup_walk_is_short(trace_seed, zero_fraction, granularity_ms,
                                     cycles, offsets):
     """The ``nextafter`` fix-up never gets near its 64-step budget, so the
-    bisect fallback never answers for the prefix engine."""
+    bisect fallback never answers."""
     link = PacketDeliveryLink(_random_trace(trace_seed, zero_fraction),
                               LinkConfig(granularity_ms=granularity_ms))
     for offset in offsets:
@@ -498,8 +411,7 @@ def _signature(result):
             for r in result.records]
 
 
-@pytest.mark.parametrize("engine", ("prefix", "bisect"))
-def test_fleet_matches_serial_run_on_reference(monkeypatch, engine):
+def test_fleet_matches_serial_run_on_reference(monkeypatch):
     traces = ([generate_fcc_trace(duration_s=120.0, seed=i, name=f"fcc-{i}")
                for i in range(3)]
               + [generate_starlink_trace(duration_s=120.0, seed=i,
@@ -509,9 +421,8 @@ def test_fleet_matches_serial_run_on_reference(monkeypatch, engine):
         DashPlayer(video, PacketDeliveryLink(traces[0])).observe(),
         video.num_bitrates, rng=np.random.default_rng(1))
     fleet = Fleet(video, traces, config=FleetConfig(
-        emulation=EmulationConfig(link=LinkConfig(delivery_engine=engine)),
         arrival_process="poisson", arrival_rate_per_s=4.0))
-    sessions = 12 if engine == "prefix" else 5
+    sessions = 12
 
     fused = fleet.run(agent, sessions, greedy=False, sample_seed=9)
     with monkeypatch.context() as patch:
