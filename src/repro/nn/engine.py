@@ -13,7 +13,7 @@ emulation record cache both key on :meth:`EngineConfig.fingerprint`.
   through the autograd graph reference, which agrees to round-off only.
 
 Execution choices proven bit-identical (workers, backends, seed batching,
-batched evaluation, telemetry) are deliberately not part of the value.
+telemetry) are deliberately not part of the value.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ fused loop must reproduce it bit for bit — end time, throughput and the
 connection's congestion state after every transfer — and a fleet must stay
 bit-identical to a serial run that uses the reference.
 
-The fused loop starts the inversion's ``nextafter``
-fix-up at the round's clock (the later of the sender's window clock and one
-RTT) when the analytic start lies before it, so a round the link is ahead
-of costs one packet count.  The constructed rounds below put that clock
+The fused loop starts the inversion's ``nextafter`` fix-up at the round's
+clock (the later of the sender's window clock and one RTT) when the
+analytic start lies before it, so a round the link is ahead of costs one
+packet count.  The constructed rounds below put that clock
 exactly on the link-limited end, on window and cycle boundaries, after the
 analytic start and on a final partial window; the property test bounds the
 fix-up walk the exactness argument rests on.
