@@ -7,7 +7,13 @@ verbatim: every round calls the one-shot ``time_to_deliver``
 (``_packets_before`` of the round start, then the prefix inversion).  The
 fused loop must reproduce it bit for bit — end time, throughput and the
 connection's congestion state after every transfer — and a fleet must stay
-bit-identical to a serial run that uses the reference.
+bit-identical to a serial run that uses the reference.  Against the bisect
+round loop (``bisect_transfer``, the serving benchmark's reference side) the
+fused loop must take the same congestion-window path over the fixed transfer
+sequences and end every transfer within the inversion's accuracy (1e-9 s).
+The two inversions can differ by an ulp, so a long run that lands a round
+end on the bottleneck or idle-reset threshold may branch; a fleet is
+compared only with the prefix reference.
 
 The fused loop starts the inversion's ``nextafter`` fix-up at the round's
 clock (the later of the sender's window clock and one RTT) when the
@@ -44,7 +50,7 @@ from repro.emulation.player import DashPlayer
 from repro.rl.agent import ABRAgent
 from repro.traces import Trace, generate_fcc_trace, generate_starlink_trace
 
-from reference_engines import (reference_invert_prefix,
+from reference_engines import (bisect_transfer, reference_invert_prefix,
                                reference_time_to_deliver, reference_transfer)
 
 
@@ -127,6 +133,40 @@ def test_fused_transfer_matches_reference_bitwise(granularity_ms,
     for start_s in (0.0, 0.37, link.cycle_duration_s * 2.5):
         _assert_sequences_match(link, TCP_CONFIGS[tcp_kind], start_s,
                                 TRANSFER_SEQUENCE)
+
+
+@pytest.mark.parametrize("granularity_ms", GRANULARITIES_MS)
+@pytest.mark.parametrize("trace_kind", sorted(TRACES))
+@pytest.mark.parametrize("tcp_kind", sorted(TCP_CONFIGS))
+def test_fused_transfer_tracks_bisect_round_loop(granularity_ms, trace_kind,
+                                                 tcp_kind):
+    """The bisect inversion may land a float or two earlier than the prefix
+    fix-up; on these sequences no round end sits on a threshold, so the
+    congestion-window path is the same."""
+    link = PacketDeliveryLink(
+        TRACES[trace_kind](), LinkConfig(granularity_ms=granularity_ms))
+    tcp_config = TCP_CONFIGS[tcp_kind]
+    for start_s in (0.0, 0.37, link.cycle_duration_s * 2.5):
+        fused = TCPConnection(link, tcp_config)
+        reference = TCPConnection(link, tcp_config)
+        now = start_s
+        for step, (gap_s, body_bytes) in enumerate(TRANSFER_SEQUENCE):
+            now += gap_s
+            got = fused.transfer(now, body_bytes)
+            expected = bisect_transfer(reference, now, body_bytes)
+            where = (start_s, step, body_bytes)
+            assert got.bytes_transferred == expected.bytes_transferred, where
+            assert got.end_s == pytest.approx(expected.end_s, abs=1e-9), where
+            assert _bits(fused.cwnd_segments) == _bits(
+                reference.cwnd_segments), where
+            assert _bits(fused.ssthresh_segments) == _bits(
+                reference.ssthresh_segments), where
+            if reference._last_activity_s is None:
+                assert fused._last_activity_s is None, where
+            else:
+                assert fused._last_activity_s == pytest.approx(
+                    reference._last_activity_s, abs=1e-9), where
+            now = got.end_s
 
 
 @settings(max_examples=60, deadline=None,
@@ -433,3 +473,4 @@ def test_fleet_matches_serial_run_on_reference(monkeypatch):
     for got, expected in zip(fused.sessions, reference):
         assert got.trace_name == expected.trace_name
         assert _signature(got) == _signature(expected)
+
