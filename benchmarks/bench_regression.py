@@ -6,7 +6,7 @@ compares them against the committed ``benchmarks/BENCH_*.json`` reports:
 
 * **engine** — the seed-vs-optimized A/B behind ``BENCH_baseline.json``;
 * **generated** — the compiled-generated-design check behind
-  ``BENCH_generated.json`` (autograd-graph fallback vs compiled lockstep on
+  ``BENCH_generated.json`` (autograd-graph fallback vs compiled kernels on
   non-Pensieve architectures), at a reduced scale so the gate stays fast;
 * **serving** — the fleet-serving A/B behind ``BENCH_serving.json``
   (per-session serial emulation vs the batched fleet harness), at a reduced

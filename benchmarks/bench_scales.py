@@ -39,7 +39,6 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,8 +53,7 @@ from repro.core.evaluation import DesignTrainer, TestScoreProtocol
 from repro.core.filters import FilterPipeline
 from repro.core.generation import DesignGenerator, GenerationConfig
 from repro.core.parallel import ParallelConfig
-from repro.core.results import ResultStore
-from repro.core.scheduler import CampaignScheduler, EvaluationJob, protocol_score
+from repro.core.scheduler import protocol_score
 from repro.llm.synthetic import SyntheticLLM
 
 # The reference engines are test oracles; they live with the tests.
@@ -164,20 +162,17 @@ def _bench_designs(scale: ExperimentScale, count: int):
 def run_protocol_workload(scale: ExperimentScale,
                           workers: int = 1,
                           designs: Optional[list] = None,
-                          lockstep: bool = False,
                           ) -> Tuple[float, Dict[str, float]]:
     """Score the original design plus the given generated states.
 
-    With ``lockstep`` each design is one job over its whole seed batch
-    (trained in lockstep when the design supports it); without it every
-    seed is its own singleton job, the per-seed reference.
+    Each design is one job over the whole seed batch, which the scheduler
+    runs as one work item per seed.
 
     Returns (wall-clock seconds, {design label: protocol score}).
     """
     setup = build_environment("fcc", scale)
-    config = scale.evaluation_config()
     trainer = DesignTrainer(setup.video, setup.train_traces, setup.test_traces,
-                            config=config, qoe=setup.qoe)
+                            config=scale.evaluation_config(), qoe=setup.qoe)
     protocol = TestScoreProtocol(trainer,
                                  parallel=ParallelConfig(max_workers=workers))
     designs = designs or []
@@ -186,19 +181,41 @@ def run_protocol_workload(scale: ExperimentScale,
     jobs = [protocol.job(None, None)] + [
         protocol.job(*TestScoreProtocol._design_job(design))
         for design in designs]
-    if not lockstep:
-        jobs = [replace(job, seeds=(seed,))
-                for job in jobs for seed in job.seeds]
     start = time.perf_counter()
     results = protocol.scheduler.run(jobs)
     elapsed = time.perf_counter() - start
     labels = ["original"] + [design.design_id for design in designs]
-    width = 1 if lockstep else len(protocol.seeds)
-    scores = {label: protocol_score(
-                  [run for result in results[index * width:(index + 1) * width]
-                   for run in result.runs], config.last_k_checkpoints)
-              for index, label in enumerate(labels)}
-    return elapsed, scores
+    return elapsed, {label: result.score
+                     for label, result in zip(labels, results)}
+
+
+def run_stack_workload(scale: ExperimentScale, designs: Sequence,
+                       stacked: bool) -> Tuple[float, Dict[str, float]]:
+    """Train the original design plus ``designs`` directly, without the
+    scheduler: every seed in its own one-seed stack, or (``stacked``) all
+    seeds of a design in one n-seed stack.
+
+    Returns (wall-clock seconds, {design label: protocol score}).
+    """
+    setup = build_environment("fcc", scale)
+    config = scale.evaluation_config()
+    trainer = DesignTrainer(setup.video, setup.train_traces, setup.test_traces,
+                            config=config, qoe=setup.qoe)
+    seeds = list(range(scale.num_seeds))
+    pairs = [(None, None)] + [TestScoreProtocol._design_job(design)
+                              for design in designs]
+    start = time.perf_counter()
+    if stacked:
+        runs = [trainer.run_seeds(state, network, seeds)
+                for state, network in pairs]
+    else:
+        runs = [[trainer.run(state, network, seed) for seed in seeds]
+                for state, network in pairs]
+    elapsed = time.perf_counter() - start
+    labels = ["original"] + [design.design_id for design in designs]
+    return elapsed, {label: protocol_score(design_runs,
+                                           config.last_k_checkpoints)
+                     for label, design_runs in zip(labels, runs)}
 
 
 def run_benchmark(scale: ExperimentScale = DEFAULT_BENCH_SCALE,
@@ -248,21 +265,21 @@ def run_multi_seed_benchmark(scale: Optional[ExperimentScale] = None,
 
     Both modes run the full optimized substrate (prefix-sum downloads, folded
     inference, lockstep checkpoint evaluation) and the same compiled trainer,
-    :class:`~repro.rl.a2c.MultiSeedA2CTrainer`; the only difference is the
-    batching: per-seed mode trains ``num_seeds`` one-seed stacks (one
-    singleton job per seed) one after another, lockstep mode one stack
-    advancing every seed through stacked-weight batched updates.  A seed's
-    record does not depend on its stack, so the report's
-    ``max_score_delta`` is expected to be exactly 0.0.
+    :class:`~repro.rl.a2c.MultiSeedA2CTrainer`, in this process; the only
+    difference is the batching: per-seed mode trains ``num_seeds`` one-seed
+    stacks one after another (what every scheduler work item runs),
+    lockstep mode one stack advancing every seed through stacked-weight
+    batched updates.  A seed's record does not depend on its stack, so the
+    report's ``max_score_delta`` is expected to be exactly 0.0.
     """
     scale = replace(scale or DEFAULT_BENCH_SCALE, num_seeds=num_seeds)
     designs = _bench_designs(scale, num_designs)
     previous_dtype = nn.set_default_dtype(dtype)
     try:
-        per_seed_seconds, per_seed_scores = run_protocol_workload(
-            scale, workers=1, designs=designs, lockstep=False)
-        lockstep_seconds, lockstep_scores = run_protocol_workload(
-            scale, workers=1, designs=designs, lockstep=True)
+        per_seed_seconds, per_seed_scores = run_stack_workload(
+            scale, designs, stacked=False)
+        lockstep_seconds, lockstep_scores = run_stack_workload(
+            scale, designs, stacked=True)
     finally:
         nn.set_default_dtype(previous_dtype)
 
@@ -330,7 +347,7 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
       every generated design trains per seed through the autograd graph
       (exactly what the repository executed before the kernel compiler);
     * **compiled mode** — the kernel compiler lowers each design onto the
-      fused engines and the whole seed batch trains in lockstep.
+      fused engines, one one-seed stack per scheduler work item.
 
     The compiled kernels mirror the graph operation for operation, so trace
     choices and actions are identical and ``max_score_delta`` is expected
@@ -341,10 +358,10 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
     engine = nn.EngineConfig(dtype=dtype)
     with nn.engine.using(replace(engine, compile=False)):
         graph_seconds, graph_scores = run_protocol_workload(
-            scale, workers=workers, designs=designs, lockstep=True)
+            scale, workers=workers, designs=designs)
     with nn.engine.using(engine):
         compiled_seconds, compiled_scores = run_protocol_workload(
-            scale, workers=workers, designs=designs, lockstep=True)
+            scale, workers=workers, designs=designs)
 
     score_delta = max(abs(graph_scores[k] - compiled_scores[k])
                       for k in graph_scores)
@@ -368,126 +385,6 @@ def run_generated_benchmark(scale: Optional[ExperimentScale] = None,
                           "scores": compiled_scores},
         "speedup": round(graph_seconds / compiled_seconds, 2),
         "max_score_delta": score_delta,
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def _campaign_workload(scale: ExperimentScale, environments: Sequence[str],
-                       designs: Sequence):
-    """Build the cross-environment job list for the campaign benchmark.
-
-    Returns ``(jobs, labels)`` where each label identifies one
-    (environment, design) cell; ``jobs`` carries one job per cell covering
-    the full seed batch.
-    """
-    config = scale.evaluation_config()
-    seeds = tuple(range(scale.num_seeds))
-    jobs: List[EvaluationJob] = []
-    labels: List[str] = []
-    for environment in environments:
-        setup = build_environment(environment, scale)
-        trainer = DesignTrainer(setup.video, setup.train_traces,
-                                setup.test_traces, config=config, qoe=setup.qoe)
-        for index, design in enumerate([None] + list(designs)):
-            jobs.append(EvaluationJob(
-                trainer=trainer, state_design=design, network_design=None,
-                seeds=seeds, environment=environment))
-            labels.append(f"{environment}/"
-                          f"{'original' if design is None else f'design-{index}'}")
-    return jobs, labels
-
-
-def run_campaign_benchmark(scale: Optional[ExperimentScale] = None,
-                           dtype: str = "float32",
-                           workers: int = 1,
-                           environments: Sequence[str] = ("fcc", "starlink"),
-                           num_designs: int = 2,
-                           num_seeds: int = 3) -> dict:
-    """A/B the campaign scheduler against the flat per-seed fan-out shape.
-
-    Three passes over the same multi-environment workload:
-
-    * **flat mode** — the pre-scheduler execution shape: one work item per
-      (design, seed), each a singleton seed batch trained per seed, i.e.
-      what the old ``run_many``-style flat fan-out executed;
-    * **campaign mode** — the scheduler's native shape: one job per design
-      covering the whole seed batch, trained in lockstep inside the worker,
-      writing a cold result store;
-    * **replay mode** — campaign mode again on the warm store, measuring
-      the resume/skip path.
-
-    Scores must agree exactly across all three (``max_score_delta`` /
-    ``replay_score_delta`` are expected to be 0.0).
-    """
-    scale = replace(scale or DEFAULT_BENCH_SCALE, num_seeds=num_seeds)
-    designs = _bench_designs(scale, num_designs)
-    previous_dtype = nn.set_default_dtype(dtype)
-    try:
-        # Flat per-seed shape: singleton seed batches, per-seed training.
-        flat_jobs = []
-        base_jobs, labels = _campaign_workload(scale, environments, designs)
-        for job in base_jobs:
-            flat_jobs.extend(replace(job, seeds=(seed,)) for seed in job.seeds)
-        flat_scheduler = CampaignScheduler(ParallelConfig(max_workers=workers))
-        start = time.perf_counter()
-        flat_results = flat_scheduler.run(flat_jobs)
-        flat_seconds = time.perf_counter() - start
-        flat_scores = {}
-        last_k = scale.last_k_checkpoints
-        for index, label in enumerate(labels):
-            chunk = flat_results[index * num_seeds:(index + 1) * num_seeds]
-            runs = [run for result in chunk for run in result.runs]
-            flat_scores[label] = protocol_score(runs, last_k)
-
-        # Campaign shape: one lockstep job per design, cold store.
-        campaign_jobs, labels = _campaign_workload(scale, environments,
-                                                   designs)
-        with tempfile.TemporaryDirectory(prefix="bench-campaign-") as root:
-            store = ResultStore(root)
-            scheduler = CampaignScheduler(ParallelConfig(max_workers=workers),
-                                          store=store)
-            start = time.perf_counter()
-            campaign_results = scheduler.run(campaign_jobs)
-            campaign_seconds = time.perf_counter() - start
-
-            start = time.perf_counter()
-            replay_results = scheduler.run(campaign_jobs)
-            replay_seconds = time.perf_counter() - start
-            store_stats = store.statistics()
-    finally:
-        nn.set_default_dtype(previous_dtype)
-
-    campaign_scores = {label: result.score
-                       for label, result in zip(labels, campaign_results)}
-    replay_scores = {label: result.score
-                     for label, result in zip(labels, replay_results)}
-    score_delta = max(abs(flat_scores[k] - campaign_scores[k])
-                      for k in flat_scores)
-    replay_delta = max(abs(replay_scores[k] - campaign_scores[k])
-                       for k in campaign_scores)
-    return {
-        "workload": {
-            "environments": list(environments),
-            "train_epochs": scale.train_epochs,
-            "checkpoint_interval": scale.checkpoint_interval,
-            "num_seeds": num_seeds,
-            "num_chunks": scale.num_chunks,
-            "dataset_scale": scale.dataset_scale,
-            "designs_scored_per_environment": num_designs + 1,
-            "dtype": dtype,
-            "workers": workers,
-        },
-        "flat_mode": {"seconds": round(flat_seconds, 3),
-                      "scores": flat_scores},
-        "campaign_mode": {"seconds": round(campaign_seconds, 3),
-                          "scores": campaign_scores},
-        "replay_mode": {"seconds": round(replay_seconds, 3),
-                        "cached_jobs": sum(r.cached for r in replay_results)},
-        "speedup": round(flat_seconds / campaign_seconds, 2),
-        "replay_speedup": round(campaign_seconds / max(replay_seconds, 1e-9), 1),
-        "max_score_delta": score_delta,
-        "replay_score_delta": replay_delta,
-        "store": store_stats,
         "cpu_count": os.cpu_count(),
     }
 
@@ -678,16 +575,23 @@ def run_serving_benchmark(num_sessions: int = SERVING_SESSIONS,
     }
 
 
-def _git_sha() -> Optional[str]:
+def git_describe(cwd: str = os.path.dirname(os.path.abspath(__file__)),
+                 ) -> Optional[str]:
+    """``git describe --always --dirty`` of the checkout holding ``cwd``.
+
+    A tree with uncommitted changes to tracked files reads
+    ``<sha>-dirty``, so a report never names a commit whose code did not
+    produce it.  None outside a git checkout.
+    """
     import subprocess
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
+            ["git", "describe", "--always", "--dirty"], capture_output=True,
+            text=True, timeout=10, cwd=cwd)
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
+    described = proc.stdout.strip()
+    return described if proc.returncode == 0 and described else None
 
 
 def host_metadata() -> dict:
@@ -702,7 +606,7 @@ def host_metadata() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "default_dtype": str(nn.get_default_dtype()),
-        "git_sha": _git_sha(),
+        "git_sha": git_describe(),
     }
 
 
@@ -719,16 +623,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="End-to-end benchmark of the design-evaluation engine")
     parser.add_argument("--mode",
-                        choices=["engine", "multi-seed", "campaign",
-                                 "generated", "serving"],
+                        choices=["engine", "multi-seed", "generated",
+                                 "serving"],
                         default="engine",
                         help="engine: seed implementation vs optimized engine "
                              "(default); multi-seed: one-seed stacks vs "
-                             "one multi-seed stack; "
-                             "campaign: flat per-seed fan-out vs the campaign "
-                             "scheduler (lockstep jobs + result-store replay) "
-                             "on a multi-environment workload; generated: "
-                             "autograd-graph fallback vs compiled lockstep "
+                             "one multi-seed stack; generated: "
+                             "autograd-graph fallback vs compiled kernels "
                              "on a generated-architecture campaign; serving: "
                              "per-session serial emulation vs the batched "
                              "fleet harness on a concurrent-session workload")
@@ -743,9 +644,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--designs", type=int, default=DEFAULT_BENCH_DESIGNS,
                         help="generated designs scored on top of the original")
     parser.add_argument("--num-seeds", type=int, default=5,
-                        help="training seeds per design in --mode multi-seed "
-                             "and --mode campaign (the paper's protocol "
-                             "uses 5)")
+                        help="training seeds per design in --mode "
+                             "multi-seed and --mode generated (the paper's "
+                             "protocol uses 5)")
     args = parser.parse_args(argv)
 
     if args.mode == "generated":
@@ -765,7 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"graph mode    : {report['graph_mode']['seconds']:8.3f} s  "
               "(--no-compile: per-seed autograd-graph training)")
         print(f"compiled mode : {report['compiled_mode']['seconds']:8.3f} s  "
-              "(fused kernels, multi-seed lockstep)")
+              "(fused kernels, one-seed stacks)")
         print(f"speedup       : {report['speedup']:8.2f} x")
         print(f"score delta   : {report['max_score_delta']:8.2e} "
               "(max |graph - compiled|)")
@@ -811,35 +712,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.json:
             _write_json(report, args.json)
         return 0 if report["bit_identical"] else 1
-
-    if args.mode == "campaign":
-        report = run_campaign_benchmark(dtype=args.dtype,
-                                        workers=args.workers,
-                                        num_designs=max(args.designs, 2),
-                                        num_seeds=args.num_seeds)
-        workload = report["workload"]
-        cells = (len(workload["environments"])
-                 * workload["designs_scored_per_environment"])
-        print(f"workload      : {cells} (environment x design) cells over "
-              f"{', '.join(workload['environments'])}, "
-              f"{workload['num_seeds']} seeds x "
-              f"{workload['train_epochs']} epochs ({workload['dtype']}, "
-              f"workers={workload['workers']})")
-        print(f"flat mode     : {report['flat_mode']['seconds']:8.3f} s  "
-              "(one work item per (design, seed), per-seed training)")
-        print(f"campaign mode : {report['campaign_mode']['seconds']:8.3f} s  "
-              "(one lockstep job per design, cold result store)")
-        print(f"replay mode   : {report['replay_mode']['seconds']:8.3f} s  "
-              f"({report['replay_mode']['cached_jobs']} jobs served from the "
-              "store)")
-        print(f"speedup       : {report['speedup']:8.2f} x  (flat -> campaign)")
-        print(f"replay speedup: {report['replay_speedup']:8.1f} x  "
-              "(campaign -> warm store)")
-        print(f"score delta   : {report['max_score_delta']:8.2e} "
-              "(max |flat - campaign|)")
-        if args.json:
-            _write_json(report, args.json)
-        return 0
 
     if args.mode == "multi-seed":
         report = run_multi_seed_benchmark(dtype=args.dtype,

@@ -177,10 +177,9 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-early-stopping", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the scheduler's job "
-                             "fan-out; -1 uses every CPU, 1 runs serially. "
-                             "Each job still trains its seeds in lockstep "
-                             "inside its worker.")
+                        help="worker processes for the scheduler's "
+                             "fan-out of (design, environment, seed) work "
+                             "items; -1 uses every CPU, 1 runs serially")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="retries for a job that raises, times out or "
                              "loses its worker before it is quarantined; the "

@@ -181,10 +181,10 @@ class DesignTrainer:
         trains each seed through the autograd reference.  A seed's record
         is the same in any of these batchings.
 
-        This is also the campaign scheduler's worker entry point: one
-        scheduled job trains one design's whole seed batch here, inside a
-        single worker process, so the stacked engine composes with the
-        across-design process fan-out instead of competing with it.
+        This is also the campaign scheduler's worker entry point: each
+        scheduled work item trains one seed here, so a job's seeds spread
+        over the workers like any other items.  The n-seed stack stays the
+        reference that one-seed records are tested against.
         """
         agents = [instantiate_agent(state_design, network_design, self.video,
                                     self.train_traces, seed=seed)
@@ -197,24 +197,6 @@ class DesignTrainer:
         return [run for batch_agents, batch_seeds in batches
                 for run in self._train(batch_agents, batch_seeds,
                                        early_stopping)]
-
-    def supports_lockstep(self, state_design: Optional[Design],
-                          network_design: Optional[Design]) -> bool:
-        """Whether :meth:`run_seeds` would train this design's seeds in one stack.
-
-        The campaign scheduler consults this before splitting a multi-seed
-        job into per-seed work items: stackable jobs stay whole so the
-        stacked engine applies inside their worker, while designs the
-        kernel planner cannot lower gain worker-level seed parallelism
-        instead.  Instantiation failures report False — the job itself will
-        surface the real error when it runs.
-        """
-        try:
-            agent = instantiate_agent(state_design, network_design,
-                                      self.video, self.train_traces, seed=0)
-        except Exception:
-            return False
-        return MultiSeedA2CTrainer.supports([agent.network])
 
     def _train(self, agents: Sequence[ABRAgent], seeds: List[int],
                early_stopping: Optional[RewardTrajectoryClassifier],
@@ -273,12 +255,12 @@ class TestScoreProtocol:
 
     Execution is owned entirely by the
     :class:`~repro.core.scheduler.CampaignScheduler`: every call builds
-    (design pair, environment, seed batch) jobs and submits them in one
-    batch.  Each job trains its seeds in lockstep inside one worker while
-    distinct jobs fan out across the process pool, and results merge in
-    submission order — so scores are bit-identical to the serial reference
-    regardless of worker count.  With a result store attached, previously
-    scored jobs are answered from disk.
+    (design pair, environment, seeds) jobs and submits them in one batch.
+    The scheduler trains every (design, environment, seed) as its own work
+    item across the process pool and merges results in submission order —
+    so scores are bit-identical to the serial reference regardless of
+    worker count.  With a result store attached, previously scored seeds
+    are answered from disk.
     """
 
     #: Not a pytest test class, despite the (domain-specific) name.

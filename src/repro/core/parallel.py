@@ -258,7 +258,7 @@ def run_resilient(fn: Callable[[T, int], R], items: Sequence[T],
     tel = telemetry.get_telemetry()
     attrs = ({"items": len(ledger.items), "workers": max(workers, 1)}
              if tel is not None else None)
-    with telemetry.span("parallel.map", attrs):
+    with telemetry.span("executor.batch", attrs):
         if workers <= 1 or len(ledger.items) < CHUNK_THRESHOLD:
             return run_serial(ledger, should_stop, heartbeat)
         from .distributed import RemoteExecutor

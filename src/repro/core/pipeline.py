@@ -74,9 +74,9 @@ class NadaConfig:
     min_bootstrap_designs: int = 5
     #: Base random seed for generation and training.
     seed: int = 0
-    #: Worker processes for the scheduler's across-design job fan-out; None
-    #: reads the REPRO_WORKERS environment variable, <= 1 runs serially.
-    #: Each job still trains its seed batch in lockstep inside its worker.
+    #: Worker processes for the scheduler's fan-out of (design,
+    #: environment, seed) work items; None reads the REPRO_WORKERS
+    #: environment variable, <= 1 runs serially.
     workers: Optional[int] = 1
     #: Retries for a job that raises, times out or loses its worker before
     #: it is quarantined (the campaign then completes without it).

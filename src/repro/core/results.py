@@ -25,11 +25,10 @@ Key schema (one JSON file per record)::
   per-seed run.
 * **design fingerprint** — sha256 over each component's kind and source code
   (``original`` for the unmodified Pensieve component).
-* **seed** — the training seed.  The scheduler reads a job's cache
-  all-or-nothing (a seed batch trains in lockstep, so a partial batch
-  re-trains whole), but per-seed records let *overlapping* jobs share
-  work: a later job asking for a subset of an already-scored seed batch
-  hits record by record.
+* **seed** — the training seed.  The scheduler's work item is one seed,
+  so it reads, leases and writes one record at a time: a job whose store
+  holds some of its seeds trains only the others, and *overlapping* jobs
+  share work record by record.
 
 Records live at ``<root>/<key[:2]>/<key>.json`` with a human-readable
 ``meta`` block alongside the run payload.  Floats survive the JSON round
@@ -235,9 +234,6 @@ class ResultStore:
         #: Lookup statistics since construction (for reports and tests).
         self.hits = 0
         self.misses = 0
-        #: Records peeked successfully but discarded because a later seed in
-        #: the same all-or-nothing batch probe was absent.
-        self.partial_probes = 0
         #: Records written since construction.
         self.puts = 0
         #: Records found unreadable and quarantined to ``*.corrupt``.
@@ -298,10 +294,9 @@ class ResultStore:
     def peek_run(self, key: str) -> Optional["TrainingRun"]:
         """Load one cached run without touching the hit/miss counters.
 
-        The scheduler probes a job's whole seed batch all-or-nothing; it
-        peeks each record and commits the counters only once the batch
-        outcome is known, so partially present batches that retrain anyway
-        never inflate the hit statistics.
+        The scheduler peeks while it polls a key leased by another
+        process, and commits a hit only when the record appears, so
+        repeated polls never inflate the miss statistics.
         """
         from .evaluation import TrainingRun
 
@@ -624,7 +619,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     def statistics(self) -> Dict[str, int]:
         return {"records": len(self), "hits": self.hits, "misses": self.misses,
-                "partial_probes": self.partial_probes, "puts": self.puts,
+                "puts": self.puts,
                 "corrupt": self.corrupt, "torn_writes": self.torn_writes,
                 "put_races": self.put_races,
                 "lease_acquired": self.lease_acquired,

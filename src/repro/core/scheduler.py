@@ -2,30 +2,31 @@
 
 The paper's headline experiment is a *campaign*: pools of LLM-generated
 designs scored across several network environments under the §3.1 protocol.
-This module is the single substrate every campaign runs on.  Its unit of
-work is a **job** — (state design, network design, environment, seed batch)
-— and it composes the repository's two execution engines instead of choosing
-one:
+This module is the single substrate every campaign runs on.  Callers submit
+**jobs** — (state design, network design, environment, seeds) — and the
+scheduler runs each job's seeds as independent **work items**, one
+(design, environment, seed) training run each:
 
-* **inside** a job, all seeds train in lockstep through
-  :class:`~repro.rl.a2c.MultiSeedA2CTrainer` (stacked per-seed weights, one
-  batched fused update per round) whenever the design supports it;
-* **across** jobs, work fans out through
-  :func:`~repro.core.parallel.run_resilient` (local workers) or an attached
-  :class:`~repro.core.distributed.RemoteExecutor`, with an
-  order-preserving merge.
+* an item trains through
+  :meth:`~repro.core.evaluation.DesignTrainer.run_seeds` with one seed, the
+  same one-seed compiled stack (or autograd reference) wherever it runs;
+* items fan out through :func:`~repro.core.parallel.run_resilient` (local
+  workers) or an attached :class:`~repro.core.distributed.RemoteExecutor`,
+  with an order-preserving merge.
 
-Because each job runs exactly the code it would run serially (the worker
-only changes *where* the computation happens), campaign scores are
+The item is also the unit of the store record, the lease, the fault key,
+the retry and deduplication, so a job trains exactly the seeds the store
+lacks.  Because each item runs exactly the code it would run serially (the
+worker only changes *where* the computation happens), campaign scores are
 bit-identical for serial, 1-worker and N-worker executions — the
 equivalence suite in ``tests/test_scheduler.py`` pins this.
 
-When a :class:`~repro.core.results.ResultStore` is attached, every job's
-per-seed :class:`~repro.core.evaluation.TrainingRun` records are looked up
-before execution and persisted after it, so repeated campaigns skip
-already-scored work and interrupted campaigns resume.  Jobs carrying an
-early-stopping classifier bypass the store: their outcome depends on the
-fitted classifier state, which is not part of the key schema.
+When a :class:`~repro.core.results.ResultStore` is attached, every item's
+:class:`~repro.core.evaluation.TrainingRun` record is looked up before
+execution and persisted after it, so repeated campaigns skip already-scored
+work and interrupted campaigns resume.  Jobs carrying an early-stopping
+classifier bypass the store: their outcome depends on the fitted classifier
+state, which is not part of the key schema.
 
 Call sites (:class:`~repro.core.evaluation.TestScoreProtocol`,
 :class:`~repro.core.pipeline.NadaPipeline`, the ``analysis.experiments``
@@ -74,13 +75,15 @@ logger = get_logger("scheduler")
 
 @dataclass(frozen=True)
 class EvaluationJob:
-    """One unit of campaign work: a design pair × environment × seed batch.
+    """One campaign request: a design pair × environment × seeds.
 
-    The job owns everything needed to train its seed batch to completion in
-    an arbitrary worker process: the (picklable)
+    The job owns everything needed to train any of its seeds in an
+    arbitrary worker process: the (picklable)
     :class:`~repro.core.evaluation.DesignTrainer` carries the environment
     (video, trace splits, QoE metric, schedule); the designs carry the code
-    under test; ``seeds`` is the batch trained in lockstep inside the worker.
+    under test.  The scheduler runs each of ``seeds`` as its own work item
+    (a copy of the job with that one seed) and reassembles the runs in
+    seed order.
     """
 
     trainer: "DesignTrainer"
@@ -106,16 +109,17 @@ class JobResult:
     score: float
     #: True when every seed was served from the result store.
     cached: bool = False
-    #: True when this job was collapsed onto an identical job in the same
-    #: submission and its result fanned back from that single execution.
+    #: True when every seed of this job was collapsed onto an identical
+    #: (design, context, seed) item of an earlier job in the same
+    #: submission, its run fanned back from that single execution.
     deduplicated: bool = False
-    #: ``"ok"`` for a complete result, ``"quarantined"`` when the job kept
-    #: failing past the retry budget (``runs`` then holds whatever seed
-    #: batches did complete; ``score`` is ``-inf``).
+    #: ``"ok"`` for a complete result, ``"quarantined"`` when a seed kept
+    #: failing past the retry budget (``runs`` then holds whatever seeds
+    #: did complete; ``score`` is ``-inf``).
     status: str = "ok"
-    #: The last failure message for a quarantined job.
+    #: The failure messages of a quarantined job's seeds.
     error: Optional[str] = None
-    #: Training attempts consumed by the slowest-to-succeed seed batch
+    #: Training attempts consumed by the slowest-to-succeed seed
     #: (1 for a clean first-try execution, 0 for a store hit).
     attempts: int = 1
 
@@ -179,12 +183,38 @@ class _JobTask:
         return _job_fault_key(self.job)
 
 
+@dataclass(eq=False)
+class _Item:
+    """One work item: a single seed of a submitted job.
+
+    It is looked up, leased, executed, persisted and retried on its own.
+    Identical items of one submission are one object, shared by every job
+    that asked for that seed.
+    """
+
+    #: The one-seed job this item trains.
+    job: EvaluationJob
+    #: Submission index of the job that created (and executes) the item.
+    owner: int
+    #: Store key, or None when the job is not cacheable.
+    key: Optional[str]
+    lease: Optional[Lease] = None
+    run: Optional["TrainingRun"] = None
+    cached: bool = False
+    attempts: int = 0
+    error: Optional[str] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.run is not None or self.error is not None
+
+
 def _run_job_task(
         task: _JobTask, attempt: int = 0,
 ) -> Tuple[List["TrainingRun"], Optional[List[telemetry.TelemetryEvent]]]:
-    """Worker entry point: train one job's seed batch, in lockstep if possible.
+    """Worker entry point: train one work item (a one-seed job).
 
-    The job runs on one BLAS thread wherever it lands (in-process, local
+    The item runs on one BLAS thread wherever it lands (in-process, local
     worker or remote worker): a BLAS reduction split over threads rounds
     differently, so pinning every executor keeps serial == workers == remote
     bit for bit whatever ``OPENBLAS_NUM_THREADS`` says.
@@ -262,9 +292,6 @@ class CampaignScheduler:
         #: configuration and the environment label) so changing either
         #: recomputes.
         self._contexts: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        #: Memoized "does this design train in lockstep?" probes, keyed by
-        #: design fingerprint and the engine configuration.
-        self._lockstep_probe: Dict[Tuple, bool] = {}
         #: Set by :meth:`request_shutdown` (and the SIGINT/SIGTERM handlers
         #: installed around :meth:`run`): in-flight jobs drain, queued jobs
         #: are abandoned, completed results persist, then :meth:`run`
@@ -347,106 +374,32 @@ class CampaignScheduler:
             per_trainer[variant] = fingerprint
         return fingerprint
 
-    def _job_keys(self, job: EvaluationJob) -> Optional[List[str]]:
-        """Per-seed store keys, or None when the job is not cacheable."""
+    def _item_key(self, job: EvaluationJob) -> Optional[str]:
+        """The store key of a one-seed job, or None when it is not cacheable."""
         if self.store is None or job.early_stopping is not None:
             return None
-        context = self._context(job)
         designs = design_fingerprint(job.state_design, job.network_design)
-        return [result_key(context, designs, seed) for seed in job.seeds]
+        return result_key(self._context(job), designs, job.seeds[0])
 
-    def _lookup(self, job: EvaluationJob,
-                keys: Optional[List[str]]) -> Optional[List["TrainingRun"]]:
-        """All-or-nothing cache read: a job resumes only as a whole batch.
-
-        Counters are committed once the batch outcome is known — records
-        probed before a miss aborts the batch are not counted as hits,
-        since their contents are discarded and retrained.  Loaded runs are
-        re-stamped with the requesting config's ``last_k_checkpoints``
-        (excluded from the key because it only shapes aggregation), making
-        a cached run indistinguishable from a freshly trained one.
-        """
-        if keys is None:
-            return None
-        runs = []
-        for key in keys:
-            run = self.store.peek_run(key)
-            if run is None:
-                self.store.misses += 1
-                self.store.partial_probes += len(runs)
-                telemetry.counter("store.miss")
-                if runs:
-                    telemetry.counter("store.partial_probe", len(runs))
-                return None
-            runs.append(run)
-        self.store.hits += len(runs)
-        telemetry.counter("store.hit", len(runs))
-        for run in runs:
-            run.last_k_checkpoints = job.trainer.config.last_k_checkpoints
-        return runs
-
-    def _persist(self, job: EvaluationJob, keys: Optional[List[str]],
-                 runs: Sequence["TrainingRun"],
-                 leases_by_key: Optional[Dict[str, Lease]] = None) -> None:
-        if keys is None:
-            return
+    def _persist(self, item: _Item) -> None:
+        job = item.job
         meta = {
             "environment": job.environment,
             "state_design": job.state_design.design_id
             if job.state_design is not None else "original",
             "network_design": job.network_design.design_id
             if job.network_design is not None else "original",
+            "seed": item.run.seed,
         }
-        leases_by_key = leases_by_key or {}
-        for key, run in zip(keys, runs):
-            self.store.put_run(key, run, meta={**meta, "seed": run.seed},
-                               lease=leases_by_key.get(key))
-
-    def _splits_without_cost(self, job: EvaluationJob) -> bool:
-        """True when per-seed fan-out cannot lose lockstep batching.
-
-        Jobs that train seed by seed regardless — an early-stopping
-        classifier attached (one one-seed stack per seed), or a design the
-        kernel compiler cannot lower (the autograd reference per seed; every
-        design, the original Pensieve included, under ``--no-compile``) —
-        gain worker-level seed parallelism by splitting into singleton seed
-        batches; records are identical either way because the singleton
-        batch is exactly what runs inside the whole one.  Stackable jobs
-        stay whole so the stacked engine applies inside their worker.
-        """
-        return len(job.seeds) > 1 and (job.early_stopping is not None
-                                       or not self._design_locksteps(job))
-
-    def _design_locksteps(self, job: EvaluationJob) -> bool:
-        """Memoized probe: would this job's design train in lockstep?
-
-        Instantiating the design's network (cheap — weight init only) is
-        the only way to know whether the kernel planner can lower it; the
-        answer is cached per design fingerprint and engine configuration so
-        a campaign pays for each distinct design once.
-        """
-        key = (design_fingerprint(job.state_design, job.network_design),
-               nn.engine.current())
-        cached = self._lockstep_probe.get(key)
-        if cached is None:
-            # Only fan-out probes, so the probe's own compile counters stay
-            # out of the event stream, which must match the serial run's.
-            sink = telemetry.set_telemetry(None)
-            try:
-                cached = bool(job.trainer.supports_lockstep(
-                    job.state_design, job.network_design))
-            finally:
-                telemetry.set_telemetry(sink)
-            self._lockstep_probe[key] = cached
-        return cached
+        self.store.put_run(item.key, item.run, meta=meta, lease=item.lease)
 
     @staticmethod
     def _dedupe_key(job: EvaluationJob) -> Optional[Tuple]:
-        """Collapse key for identical jobs in one submission, or None.
+        """Collapse key for identical work in one submission, or None.
 
-        Two jobs collapse when they share the trainer instance (hence the
-        evaluation context), the environment label, the design pair's
-        content fingerprint and the seed batch.  Jobs carrying an
+        Two one-seed items collapse when they share the trainer instance
+        (hence the evaluation context), the environment label, the design
+        pair's content fingerprint and the seed.  Jobs carrying an
         early-stopping classifier never collapse: their outcome depends on
         fitted classifier state, which the key cannot see.
         """
@@ -459,21 +412,20 @@ class CampaignScheduler:
     def run(self, jobs: Sequence[EvaluationJob]) -> List[JobResult]:
         """Execute a batch of jobs; results come back in submission order.
 
-        Cached jobs are answered from the store without touching an executor.
-        Identical (design, context, seed batch) jobs within the submission
-        collapse to a single execution whose result fans back to every
-        requester (``JobResult.deduplicated`` marks the copies).  The
-        remainder fan out across worker processes, each training its seed
-        batch in lockstep inside the worker.  Jobs that would train
-        per-seed anyway additionally split into per-seed work items under
-        fan-out, so seeds of one design can occupy several workers when
-        lockstep has nothing to lose.  Scores are bit-identical to running
-        every job serially in submission order.
+        Every job expands into one work item per seed.  Items the store
+        already holds are answered from it without touching an executor;
+        identical (design, context, seed) items within the submission
+        collapse to a single execution whose run fans back to every job
+        that asked for it (``JobResult.deduplicated`` marks a job none of
+        whose seeds executed for it).  The remaining items fan out across
+        worker processes, and each job's result is reassembled in seed
+        order.  Scores are bit-identical to running every job serially in
+        submission order.
 
-        A job that keeps failing past the retry budget comes back
-        ``status="quarantined"`` with ``score=-inf`` instead of raising —
-        the batch completes with partial results (graceful degradation).
-        SIGINT/SIGTERM (or :meth:`request_shutdown`) drains in-flight jobs,
+        A seed that keeps failing past the retry budget quarantines its job
+        (``status="quarantined"``, ``score=-inf``) instead of raising — the
+        batch completes with partial results (graceful degradation).
+        SIGINT/SIGTERM (or :meth:`request_shutdown`) drains in-flight items,
         persists their records, then raises ``KeyboardInterrupt``.
         """
         tel = telemetry.get_telemetry()
@@ -490,88 +442,55 @@ class CampaignScheduler:
 
     def _run_batch(self, jobs: List[EvaluationJob],
                    tel: Optional[telemetry.Telemetry]) -> List[JobResult]:
-        results: List[Optional[JobResult]] = [None] * len(jobs)
-        pending: List[Tuple[int, EvaluationJob, Optional[List[str]]]] = []
-        aliases: Dict[int, int] = {}  # duplicate index -> primary index
-        primary_of: Dict[Tuple, int] = {}
+        items_of: List[List[_Item]] = []
+        todo: List[_Item] = []
+        primaries: Dict[Tuple, _Item] = {}
         for index, job in enumerate(jobs):
-            dedupe = self._dedupe_key(job)
-            if dedupe is not None:
-                primary = primary_of.get(dedupe)
-                if primary is not None:
-                    aliases[index] = primary
-                    if tel is not None:
-                        tel.counter("scheduler.jobs.deduplicated")
-                    continue
-                primary_of[dedupe] = index
-            keys = self._job_keys(job)
-            cached_runs = self._lookup(job, keys)
-            if cached_runs is not None:
-                if tel is not None:
-                    tel.counter("scheduler.jobs.store_hit")
-                score = protocol_score(cached_runs,
-                                       job.trainer.config.last_k_checkpoints)
-                results[index] = JobResult(job=job, runs=cached_runs,
-                                           score=score, cached=True,
-                                           attempts=0)
-            else:
-                pending.append((index, job, keys))
+            items: List[_Item] = []
+            for seed in job.seeds:
+                one = replace(job, seeds=(seed,))
+                dedupe = self._dedupe_key(one)
+                item = primaries.get(dedupe) if dedupe is not None else None
+                if item is None:
+                    item = _Item(one, index, self._item_key(one))
+                    todo.append(item)
+                    if dedupe is not None:
+                        primaries[dedupe] = item
+                elif tel is not None:
+                    tel.counter("scheduler.jobs.deduplicated")
+                items.append(item)
+            items_of.append(items)
 
-        logger.debug(
-            "scheduler pass: %d job(s) submitted, %d cached, %d deduplicated, "
-            "%d to train", len(jobs),
-            sum(1 for r in results if r is not None and r.cached),
-            len(aliases), len(pending))
-
-        # Claim a lease on every store key before training so a second
-        # process sharing the store cannot execute the same (context,
-        # design, seed) concurrently.  Jobs whose keys are all held
-        # elsewhere are deferred: they wait for the holder to publish (or
-        # die) instead of duplicating its work.
-        executable: List[Tuple[int, EvaluationJob, Optional[List[str]],
-                               List[Lease]]] = []
-        deferred: List[Tuple[int, EvaluationJob, List[str]]] = []
-        for index, job, keys in pending:
-            if keys is None:
-                executable.append((index, job, None, []))
-                continue
-            leases = self._claim_all(keys)
-            if leases is None:
-                deferred.append((index, job, keys))
+        # Lease every missing key before training so a second process
+        # sharing the store cannot execute the same (context, design, seed)
+        # concurrently.  Items whose key is held elsewhere are deferred:
+        # they wait for the holder to publish (or die) instead of
+        # duplicating its work, while the job's other seeds train here.
+        executable: List[_Item] = []
+        deferred: List[_Item] = []
+        for item in todo:
+            run = None if item.key is None else self.store.get_run(item.key)
+            if run is not None:
+                self._hit(item, run, tel)
+            elif item.key is None or self._claim(item, tel):
+                executable.append(item)
+            elif not item.settled:
+                deferred.append(item)
                 if tel is not None:
                     tel.counter("scheduler.jobs.lease_deferred")
-                continue
-            # Another process may have published between our lookup miss
-            # and the claim; honour its records instead of retraining.
-            cached_runs = self._peek_batch(job, keys)
-            if cached_runs is not None:
-                for lease in leases:
-                    self.store.release(lease)
-                self._commit_hit(job, cached_runs, results, index, tel)
-                continue
-            executable.append((index, job, keys, leases))
+        logger.debug(
+            "scheduler pass: %d job(s) submitted, %d seed item(s), %d to "
+            "train, %d deferred", len(jobs), len(todo), len(executable),
+            len(deferred))
 
-        interrupted = False
-        if executable:
-            interrupted = self._execute_pending(executable, results, tel)
+        interrupted = bool(executable) and self._execute_pending(executable,
+                                                                 tel)
         if deferred:
-            if interrupted or self._shutdown.is_set():
-                interrupted = True
-            else:
-                interrupted = self._await_deferred(deferred, results, tel)
+            interrupted = (interrupted or self._shutdown.is_set()
+                           or self._await_deferred(deferred, tel))
 
-        for index, primary in aliases.items():
-            source = results[primary]
-            if source is None:
-                continue  # primary interrupted; no result to fan back
-            results[index] = JobResult(job=jobs[index], runs=source.runs,
-                                       score=source.score,
-                                       cached=source.cached,
-                                       deduplicated=True,
-                                       status=source.status,
-                                       error=source.error,
-                                       attempts=source.attempts)
-
+        results = [self._assemble(index, job, items, tel)
+                   for index, (job, items) in enumerate(zip(jobs, items_of))]
         if interrupted or self._shutdown.is_set():
             settled = sum(1 for result in results if result is not None)
             logger.warning(
@@ -583,56 +502,88 @@ class CampaignScheduler:
                 "campaign interrupted; completed results were persisted")
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------ #
-    # Lease coordination.
-    # ------------------------------------------------------------------ #
-    def _claim_all(self, keys: List[str]) -> Optional[List[Lease]]:
-        """Claim every key or none: partial holds are released on failure."""
-        leases: List[Lease] = []
-        for key in keys:
-            lease = self.store.claim(key)
-            if lease is None:
-                for held in leases:
-                    self.store.release(held)
-                return None
-            leases.append(lease)
-        return leases
+    def _assemble(self, index: int, job: EvaluationJob, items: List[_Item],
+                  tel: Optional[telemetry.Telemetry]) -> Optional[JobResult]:
+        """A job's result from its seed items, or None if one was interrupted."""
+        if not all(item.settled for item in items):
+            return None
+        runs = [item.run for item in items if item.run is not None]
+        attempts = max(item.attempts for item in items)
+        deduplicated = all(item.owner != index for item in items)
+        errors = [item.error for item in items if item.error is not None]
+        if not errors:
+            score = protocol_score(runs, job.trainer.config.last_k_checkpoints)
+            return JobResult(job=job, runs=runs, score=score,
+                             cached=all(item.cached for item in items),
+                             deduplicated=deduplicated, attempts=attempts)
+        message = "; ".join(dict.fromkeys(errors))
+        result = JobResult(job=job, runs=runs, score=float("-inf"),
+                           deduplicated=deduplicated, status="quarantined",
+                           error=message, attempts=attempts)
+        if not deduplicated:
+            logger.warning("job quarantined after %d attempt(s): %s | %s",
+                           attempts, _job_fault_key(job), message)
+            if tel is not None:
+                tel.counter("job.quarantined",
+                            attrs={"design": _job_label(job),
+                                   "environment": job.environment})
+            self.failures.append(result)
+        return result
 
-    def _peek_batch(self, job: EvaluationJob,
-                    keys: List[str]) -> Optional[List["TrainingRun"]]:
-        """Counter-free all-or-nothing read, for lease polling."""
-        runs = []
-        for key in keys:
-            run = self.store.peek_run(key)
-            if run is None:
-                return None
-            runs.append(run)
-        for run in runs:
-            run.last_k_checkpoints = job.trainer.config.last_k_checkpoints
-        return runs
+    # ------------------------------------------------------------------ #
+    # Store and lease coordination.
+    # ------------------------------------------------------------------ #
+    def _hit(self, item: _Item, run: "TrainingRun",
+             tel: Optional[telemetry.Telemetry]) -> None:
+        """Settle ``item`` from a store record.
 
-    def _commit_hit(self, job: EvaluationJob, runs: List["TrainingRun"],
-                    results: List[Optional[JobResult]], index: int,
-                    tel: Optional[telemetry.Telemetry]) -> None:
-        """Account and record a batch served by another process's records."""
-        self.store.hits += len(runs)
-        telemetry.counter("store.hit", len(runs))
+        The run is re-stamped with the requesting config's
+        ``last_k_checkpoints`` (excluded from the key because it only
+        shapes aggregation), making a cached run indistinguishable from a
+        freshly trained one.
+        """
         if tel is not None:
             tel.counter("scheduler.jobs.store_hit")
-        score = protocol_score(runs, job.trainer.config.last_k_checkpoints)
-        results[index] = JobResult(job=job, runs=runs, score=score,
-                                   cached=True, attempts=0)
+        run.last_k_checkpoints = item.job.trainer.config.last_k_checkpoints
+        item.run, item.cached, item.attempts = run, True, 0
 
-    def _await_deferred(self, deferred: List[Tuple[int, EvaluationJob,
-                                                   List[str]]],
-                        results: List[Optional[JobResult]],
+    def _take_published(self, item: _Item,
+                        tel: Optional[telemetry.Telemetry]) -> bool:
+        """Settle ``item`` from another process's record, if one exists.
+
+        Polling peeks without counting; only a record found is a hit.
+        """
+        run = self.store.peek_run(item.key)
+        if run is None:
+            return False
+        self.store.hits += 1
+        telemetry.counter("store.hit")
+        self._release(item)
+        self._hit(item, run, tel)
+        return True
+
+    def _claim(self, item: _Item, tel: Optional[telemetry.Telemetry]) -> bool:
+        """Lease ``item``'s key; True when the item must execute here.
+
+        Another process may have published between our miss and the
+        claim; its record then settles the item instead of a retrain.
+        """
+        item.lease = self.store.claim(item.key)
+        return item.lease is not None and not self._take_published(item, tel)
+
+    def _release(self, item: _Item) -> None:
+        if item.lease is not None:
+            self.store.release(item.lease)
+            item.lease = None
+
+    def _await_deferred(self, deferred: List[_Item],
                         tel: Optional[telemetry.Telemetry]) -> bool:
         """Wait for lease holders to publish; steal and execute if they die.
 
-        Polls the store for each deferred job: records appearing resolve
-        the job as a hit; a lease going stale (holder crashed without
+        Polls the store for each deferred item: a record appearing settles
+        it as a hit; a lease going stale (holder crashed without
         heartbeating) is taken over via :meth:`ResultStore.claim` and the
-        job executes here.  Returns True when shutdown interrupted the
+        item executes here.  Returns True when shutdown interrupted the
         wait.
         """
         poll = max(0.05, min(1.0, self.store.lease_timeout / 10.0))
@@ -640,19 +591,15 @@ class CampaignScheduler:
         while pending:
             if self._shutdown.is_set():
                 return True
-            remaining: List[Tuple[int, EvaluationJob, List[str]]] = []
-            for index, job, keys in pending:
-                runs = self._peek_batch(job, keys)
-                if runs is not None:
-                    self._commit_hit(job, runs, results, index, tel)
+            remaining: List[_Item] = []
+            for item in pending:
+                if self._take_published(item, tel):
                     continue
-                leases = self._claim_all(keys)
-                if leases is not None:
-                    if self._execute_pending([(index, job, keys, leases)],
-                                             results, tel):
+                if self._claim(item, tel):
+                    if self._execute_pending([item], tel):
                         return True
-                    continue
-                remaining.append((index, job, keys))
+                elif not item.settled:
+                    remaining.append(item)
             if remaining and len(remaining) == len(pending):
                 time.sleep(poll)
             pending = remaining
@@ -661,82 +608,51 @@ class CampaignScheduler:
     # ------------------------------------------------------------------ #
     # Resilient execution.
     # ------------------------------------------------------------------ #
-    def _execute_pending(
-            self,
-            batch: List[Tuple[int, EvaluationJob, Optional[List[str]],
-                              List[Lease]]],
-            results: List[Optional[JobResult]],
-            tel: Optional[telemetry.Telemetry]) -> bool:
-        """Train a batch of uncached jobs; returns True when interrupted.
+    def _execute_pending(self, items: List[_Item],
+                         tel: Optional[telemetry.Telemetry]) -> bool:
+        """Train uncached items; returns True when interrupted.
 
-        Subjob failures are isolated: an attempt that raises, times out or
-        dies with its worker is retried with backoff, and a subjob
-        exhausting the retry budget quarantines its parent job instead of
-        aborting the batch.  Completed seed batches persist to the store
-        even when a sibling subjob of the same job failed or a shutdown
-        arrived mid-batch, so resumed campaigns skip them.
+        Failures are isolated per item: an attempt that raises, times out
+        or dies with its worker is retried with backoff, and an item
+        exhausting the retry budget quarantines its job instead of
+        aborting the batch.  Completed items persist to the store even when
+        a sibling seed failed or a shutdown arrived mid-batch, so resumed
+        campaigns skip them.
         """
         engine = nn.engine.current()
         plan = faults.get_plan()
-        # Remote workers parallelize like local ones, so jobs that
-        # split per-seed under fan-out split the same way for them — record
-        # layout stays identical across backends either way.
-        split = (self.parallel.resolved_workers() > 1
-                 or self.executor is not None)
-        parts_per_job: List[List[EvaluationJob]] = []
-        subjobs: List[EvaluationJob] = []
-        for _, job, _, _ in batch:
-            if split and self._splits_without_cost(job):
-                parts = [replace(job, seeds=(seed,)) for seed in job.seeds]
-                if tel is not None:
-                    tel.counter("scheduler.jobs.split_per_seed",
-                                attrs={"design": _job_label(job),
-                                       "environment": job.environment})
-            else:
-                parts = [job]
-            parts_per_job.append(parts)
-            subjobs.extend(parts)
-        tasks = [_JobTask(sub, engine, tel is not None, plan)
-                 for sub in subjobs]
-
+        tasks = [_JobTask(item.job, engine, tel is not None, plan)
+                 for item in items]
         heartbeat = self._lease_heartbeat(
-            [lease for _, _, _, leases in batch for lease in leases])
+            [item.lease for item in items if item.lease is not None])
         with telemetry.span(
                 "scheduler.execute",
                 {"tasks": len(tasks)} if tel is not None else None):
             try:
-                flat = self._execute(_run_job_task, tasks, heartbeat)
+                outcomes = self._execute(_run_job_task, tasks, heartbeat)
             except BaseException:
                 # Transport failure (e.g. NoWorkersError): release every
                 # claimed lease so a resuming campaign need not wait out
                 # the staleness deadline.
-                for _, _, _, leases in batch:
-                    for lease in leases:
-                        self.store.release(lease)
+                for item in items:
+                    self._release(item)
                 raise
         if tel is not None:
             # Order-preserving merge of worker-captured events: the same
             # contract results get, so serial and N-worker executions
             # yield identical event streams modulo timestamps and pids.
-            for outcome in flat:
+            for outcome in outcomes:
                 if outcome.ok and outcome.value is not None:
                     _, events = outcome.value
                     if events:
                         tel.extend(events)
 
         interrupted = False
-        cursor = 0
-        for (index, job, keys, leases), parts in zip(batch, parts_per_job):
-            outcomes = flat[cursor:cursor + len(parts)]
-            cursor += len(parts)
+        for item, outcome in zip(items, outcomes):
             try:
-                job_interrupted = self._settle_job(index, job, keys, parts,
-                                                   outcomes, results, tel,
-                                                   leases)
+                interrupted = self._settle(item, outcome, tel) or interrupted
             finally:
-                for lease in leases:
-                    self.store.release(lease)
-            interrupted = interrupted or job_interrupted
+                self._release(item)
         return interrupted
 
     def _execute(self, fn: Callable[[Any, int], Any], tasks: Sequence[Any],
@@ -766,79 +682,35 @@ class CampaignScheduler:
 
         return heartbeat
 
-    def _settle_job(self, index: int, job: EvaluationJob,
-                    keys: Optional[List[str]],
-                    parts: List[EvaluationJob],
-                    outcomes: List[TaskOutcome],
-                    results: List[Optional[JobResult]],
-                    tel: Optional[telemetry.Telemetry],
-                    leases: Optional[List[Lease]] = None) -> bool:
-        """Aggregate one job's subjob outcomes into a JobResult; persist.
+    def _settle(self, item: _Item, outcome: TaskOutcome,
+                tel: Optional[telemetry.Telemetry]) -> bool:
+        """Record one item's outcome and persist its run.
 
-        Returns True when any subjob was interrupted mid-shutdown — the
-        job then stays unsettled (``results[index]`` remains None) and the
-        batch raises ``KeyboardInterrupt`` after persisting everything
-        that did complete.
+        Returns True when the item was interrupted mid-shutdown — it then
+        stays unsettled, and so does its job.
         """
-        runs: List["TrainingRun"] = []
-        ok_keys: List[str] = []
-        errors: List[str] = []
-        attempts = 1
-        job_interrupted = False
-        seed_keys = dict(zip(job.seeds, keys)) if keys is not None else {}
-        for part, outcome in zip(parts, outcomes):
-            attempts = max(attempts, outcome.attempts)
-            if outcome.status == "interrupted":
-                job_interrupted = True
-            elif not outcome.ok:
-                errors.append(outcome.error or "unknown failure")
-            elif outcome.value is not None:
-                part_runs, _ = outcome.value
-                runs.extend(part_runs)
-                if keys is not None:
-                    ok_keys.extend(seed_keys[seed] for seed in part.seeds)
-            if tel is not None and outcome.attempts > 1:
-                tel.counter("job.retry", outcome.attempts - 1,
-                            attrs={"design": _job_label(job),
-                                   "environment": job.environment})
-
-        if ok_keys:
-            leases_by_key = {lease.key: lease for lease in (leases or [])}
-            with telemetry.span(
-                    "job.persist",
-                    {"design": _job_label(job),
-                     "environment": job.environment}
-                    if tel is not None else None):
-                self._persist(job, ok_keys, runs, leases_by_key)
+        job = item.job
+        attrs = {"design": _job_label(job), "environment": job.environment}
+        item.attempts = outcome.attempts
+        if tel is not None and outcome.attempts > 1:
+            tel.counter("job.retry", outcome.attempts - 1, attrs=attrs)
+        if outcome.status == "interrupted":
+            if tel is not None:
+                tel.counter("job.interrupted", attrs=attrs)
+            return True
+        if not outcome.ok:
+            item.error = outcome.error or "unknown failure"
+            return False
+        (item.run,), _ = outcome.value
+        if item.key is not None:
+            with telemetry.span("job.persist",
+                                attrs if tel is not None else None):
+                self._persist(item)
             if tel is not None:
                 tel.counter("scheduler.jobs.persisted")
-
-        if job_interrupted:
-            if tel is not None:
-                tel.counter("job.interrupted",
-                            attrs={"design": _job_label(job),
-                                   "environment": job.environment})
-            return True
-        if errors:
-            message = "; ".join(dict.fromkeys(errors))
-            logger.warning("job quarantined after %d attempt(s): %s | %s",
-                           attempts, _job_fault_key(job), message)
-            if tel is not None:
-                tel.counter("job.quarantined",
-                            attrs={"design": _job_label(job),
-                                   "environment": job.environment})
-            result = JobResult(job=job, runs=runs, score=float("-inf"),
-                               status="quarantined", error=message,
-                               attempts=attempts)
-            results[index] = result
-            self.failures.append(result)
-            return False
         if tel is not None:
             tel.counter("scheduler.jobs.trained")
-            self._record_training_series(tel, job, runs)
-        score = protocol_score(runs, job.trainer.config.last_k_checkpoints)
-        results[index] = JobResult(job=job, runs=runs, score=score,
-                                   attempts=attempts)
+            self._record_training_series(tel, job, [item.run])
         return False
 
     @staticmethod

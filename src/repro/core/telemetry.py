@@ -463,7 +463,6 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             "misses": int(misses),
             "hit_rate": (hits / lookups) if lookups else None,
             "puts": int(counters.get("store.put", 0.0)),
-            "partial_probes": int(counters.get("store.partial_probe", 0.0)),
             "context_invalidations":
                 int(counters.get("store.context_invalidated", 0.0)),
         },
@@ -548,7 +547,6 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
     lines.append(f"result store      : {store['hits']} hits / "
                  f"{store['misses']} misses ({rate_text}), "
                  f"{store['puts']} records written, "
-                 f"{store['partial_probes']} partial probes, "
                  f"{store['context_invalidations']} context invalidations")
 
     workers = summary["workers"]

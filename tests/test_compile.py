@@ -19,7 +19,8 @@ from repro.abr.networks import GenericActorCritic, PensieveNetwork
 from repro.analysis.experiments import ExperimentScale, build_environment
 from repro.core.codegen import load_network_builder
 from repro.core.design import Design, DesignKind
-from repro.core.evaluation import DesignTrainer, EvaluationConfig
+from repro.core.evaluation import (DesignTrainer, EvaluationConfig,
+                                   instantiate_agent)
 from repro.core.parallel import ParallelConfig
 from repro.core.scheduler import CampaignScheduler, EvaluationJob
 from repro.llm.design_space import (NETWORK_ENCODERS, NetworkDesignSpec,
@@ -238,7 +239,9 @@ def test_compiled_lockstep_matches_serial_graph_path(env_setup, encoder,
     nn.set_default_dtype(dtype)
     trainer = _tiny_trainer(env_setup)
     design = _generated_design(encoder, activation=activation)
-    assert trainer.supports_lockstep(None, design)
+    agents = [instantiate_agent(None, design, trainer.video,
+                                trainer.train_traces, seed=s) for s in (0, 1)]
+    assert MultiSeedA2CTrainer.supports([agent.network for agent in agents])
     lock_runs = trainer.run_seeds(None, design, [0, 1])
     nn.set_compilation(False)
     graph_runs = [trainer.run(None, design, seed=s) for s in (0, 1)]
@@ -252,25 +255,19 @@ def test_compiled_lockstep_matches_serial_graph_path(env_setup, encoder,
 
 
 def test_generated_design_through_scheduler_worker(env_setup, engine_guard):
-    """The ISSUE's acceptance path: generated design, lockstep, worker pool."""
+    """Generated design through a worker pool, one work item per seed."""
     trainer = _tiny_trainer(env_setup)
     design = _generated_design("lstm")
     job = EvaluationJob(trainer=trainer, state_design=None,
                         network_design=design, seeds=(0, 1),
                         environment="fcc")
-    # Compiled designs stay whole under fan-out (lockstep inside the worker).
-    scheduler = CampaignScheduler(ParallelConfig(max_workers=2))
-    assert not scheduler._splits_without_cost(job)
-    result = scheduler.run([job])[0]
+    result = CampaignScheduler(ParallelConfig(max_workers=2)).run([job])[0]
     nn.set_compilation(False)
     reference = [trainer.run(None, design, seed=s) for s in (0, 1)]
     for run, ref in zip(result.runs, reference):
         assert run.reward_history == ref.reward_history
         assert np.allclose(run.checkpoint_scores, ref.checkpoint_scores,
                            atol=1e-9, rtol=0.0)
-    # Without the compiler the same job splits per seed under fan-out.
-    assert CampaignScheduler(ParallelConfig(max_workers=2)) \
-        ._splits_without_cost(job)
 
 
 def test_multi_seed_supports_compiled_generated_networks(env_setup):
@@ -505,8 +502,10 @@ def test_identical_jobs_collapse_to_one_execution(env_setup, monkeypatch):
 
     results = CampaignScheduler().run([job(design_a), job(other),
                                        job(design_b)])
-    # Content-identical jobs collapsed: two executions, three results.
-    assert len(executions) == 2
+    # Content-identical jobs collapsed: one execution per distinct
+    # (design, seed) item, three results.
+    assert executions == ["gen-flatten", "gen-flatten", "gen-conv",
+                          "gen-conv"]
     assert results[2].deduplicated and not results[0].deduplicated
     assert results[2].score == results[0].score
     assert results[2].runs == results[0].runs

@@ -452,7 +452,7 @@ class TestRemoteCampaign:
         serial_events = sink.events
 
         plan = FaultPlan(rules=(FaultRule("rpc.result_delay",
-                                          match="original", times=1,
+                                          match="original|seeds=0", times=1,
                                           delay_s=4.0),))
         sink = telemetry.Telemetry()
         previous = telemetry.set_telemetry(sink)
@@ -468,18 +468,21 @@ class TestRemoteCampaign:
         remote_events = sink.events
 
         assert [r.score for r in results] == reference["scores"]
-        # The delayed job (submitted first) was accepted last.
+        # The delayed item (submitted first) was accepted last.
         assert executor.last_stats["result_order"][-1] == 0
 
         def signatures(events):
             # Placement is exactly what the contract excludes: the local
-            # pool's parallel.* events and the transport's rpc.* events.
+            # executor's executor.batch span, its parallel.* counters and
+            # the transport's rpc.* events.
             return [e.signature() for e in events
-                    if not e.name.startswith(("rpc.", "parallel."))]
+                    if e.name != "executor.batch"
+                    and not e.name.startswith(("rpc.", "parallel."))]
 
         assert signatures(serial_events) == signatures(remote_events)
         trains = [e for e in remote_events if e.name == "job.train"]
-        assert len(trains) == len(jobs)  # worker buffers made it home
+        # Worker buffers made it home: one span per seed of every job.
+        assert len(trains) == sum(len(job.seeds) for job in jobs)
 
     def test_fail_mode_releases_leases_for_resume(self, reference, tmp_path):
         """Satellite: all workers gone + ``fallback="fail"`` exits loudly

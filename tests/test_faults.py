@@ -395,29 +395,31 @@ class TestRecoveryMatrix:
                 if record["meta"]["state_design"] == "original"} == snapshot
 
     def test_sigint_drains_and_persists(self, reference, tmp_path):
-        """An interrupt mid-campaign persists completed jobs, then raises."""
+        """An interrupt mid-campaign persists completed items, then raises."""
         store = ResultStore(str(tmp_path))
         scheduler = CampaignScheduler(ParallelConfig(max_workers=1),
                                       store=store)
         jobs = _campaign_jobs(reference["trainer"], reference["design"])
-        # SIGINT is delivered during the first job (label "original"); the
-        # job finishes and persists, the second job never starts.
+        # SIGINT is delivered during the first work item (seed 0 of the
+        # original design); that item finishes and persists, and no other
+        # item starts.
         plan = FaultPlan(rules=(FaultRule("job.interrupt", match="original",
                                           times=1),))
         with inject(plan):
             with pytest.raises(KeyboardInterrupt):
                 scheduler.run(jobs)
         snapshot = _store_snapshot(str(tmp_path))
-        assert len(snapshot) == 2  # both seeds of the original job
+        assert len(snapshot) == 1  # seed 0 of the original job
         assert {rel: record for rel, record in reference["store"].items()
-                if record["meta"]["state_design"] == "original"} == snapshot
+                if record["meta"]["state_design"] == "original"
+                and record["meta"]["seed"] == 0} == snapshot
         # A resumed campaign completes from the store, bit-identically.
         resumed = CampaignScheduler(ParallelConfig(max_workers=1),
                                     store=ResultStore(str(tmp_path)))
         results = resumed.run(_campaign_jobs(reference["trainer"],
                                              reference["design"]))
         assert [r.score for r in results] == reference["scores"]
-        assert results[0].cached
+        assert resumed.store.hits == 1 and not results[0].cached
         assert _store_snapshot(str(tmp_path)) == reference["store"]
 
     def test_request_shutdown_before_run_interrupts(self, reference):

@@ -3,9 +3,12 @@
 Covers the PR's hard guarantees:
 
 * campaign scores are bit-identical across (serial reference, workers=1
-  scheduler, workers=2 scheduler with lockstep-inside-worker);
-* the result store hits/misses/resumes correctly and invalidates on any
-  config change that can alter results — but not on engine-only toggles;
+  scheduler, workers=2 scheduler with one work item per seed);
+* the result store hits/misses/resumes correctly, seed by seed, and
+  invalidates on any config change that can alter results — but not on
+  engine-only toggles;
+* a seed leased by another process defers alone, and the coordinator
+  never instantiates a design itself;
 * the early-stopping classifier observes identical reward prefixes
   regardless of job execution order and is never mutated by decisions;
 * the trace registry's published Table 1 schedules are the per-environment
@@ -13,6 +16,10 @@ Covers the PR's hard guarantees:
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -55,6 +62,12 @@ def _trainer(environment: str, scale: ExperimentScale = TINY) -> DesignTrainer:
     setup = build_environment(environment, scale)
     return DesignTrainer(setup.video, setup.train_traces, setup.test_traces,
                          config=scale.evaluation_config(), qoe=setup.qoe)
+
+
+def _job(trainer: DesignTrainer, seeds, state=None) -> EvaluationJob:
+    return EvaluationJob(trainer=trainer, state_design=state,
+                         network_design=None, seeds=seeds,
+                         environment="fcc")
 
 
 def _assert_same_runs(runs_a, runs_b):
@@ -189,8 +202,8 @@ class TestResultStore:
         cold_store = ResultStore(str(tmp_path))
         cold = CampaignScheduler(store=cold_store).run([job])[0]
         assert not cold.cached
-        # The all-or-nothing lookup short-circuits on the first absent seed.
-        assert cold_store.misses >= 1 and cold_store.hits == 0
+        # Every seed is looked up on its own.
+        assert cold_store.misses == 2 and cold_store.hits == 0
         assert len(cold_store) == 2  # one record per seed
 
         warm_store = ResultStore(str(tmp_path))
@@ -280,43 +293,102 @@ class TestResultStore:
         # The loaded run is re-stamped with the requesting aggregation.
         assert result.runs[0].last_k_checkpoints == 1
 
-    def test_partial_batches_do_not_count_as_hits(self, tmp_path):
+    def test_per_seed_resume_trains_only_missing_seeds(self, tmp_path):
         trainer = _trainer("fcc")
+        cold = CampaignScheduler(store=ResultStore(str(tmp_path / "cold"))) \
+            .run([_job(trainer, (0, 1))])[0]
         CampaignScheduler(store=ResultStore(str(tmp_path))).run(
-            [EvaluationJob(trainer=trainer, state_design=None,
-                           network_design=None, seeds=(0,),
-                           environment="fcc")])
+            [_job(trainer, (0,))])
         store = ResultStore(str(tmp_path))
         result = CampaignScheduler(store=store).run(
-            [EvaluationJob(trainer=trainer, state_design=None,
-                           network_design=None, seeds=(0, 1),
-                           environment="fcc")])[0]
-        # Seed 0 was probed successfully but the batch retrained whole, so
-        # the probe must not be reported as saved work.
+            [_job(trainer, (0, 1))])[0]
+        # Seed 0 is served from the store; only seed 1 trains and persists.
+        assert (store.hits, store.misses, store.puts) == (1, 1, 1)
         assert not result.cached
-        assert store.hits == 0 and store.misses == 1
+        assert result.score == cold.score
+        _assert_same_runs(result.runs, cold.runs)
+        third = CampaignScheduler(store=ResultStore(str(tmp_path))).run(
+            [_job(trainer, (0, 1))])[0]
+        assert third.cached and third.attempts == 0
+        _assert_same_runs(third.runs, cold.runs)
+
+    def test_foreign_lease_defers_only_its_seed(self, tmp_path):
+        """Seed 0 trains at once while seed 1 waits for its lease holder."""
+        trainer = _trainer("fcc")
+        cold = CampaignScheduler().run([_job(trainer, (0, 1))])[0]
+        store = ResultStore(str(tmp_path), lease_timeout=120.0)
+        holder = ResultStore(str(tmp_path), lease_timeout=120.0)
+        context = context_fingerprint(trainer, "fcc")
+        designs = design_fingerprint(None, None)
+        key0, key1 = (result_key(context, designs, seed) for seed in (0, 1))
+        lease = holder.claim(key1)
+        assert lease is not None
+        seen_seed0 = threading.Event()
+
+        def publish_when_seed0_lands():
+            # The holder publishes seed 1 only once seed 0's record is in
+            # the store: an all-or-nothing claim would wait forever here.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if key0 in holder:
+                    seen_seed0.set()
+                    break
+                time.sleep(0.02)
+            holder.put_run(key1, cold.runs[1], lease=lease)
+            holder.release(lease)
+
+        thread = threading.Thread(target=publish_when_seed0_lands)
+        thread.start()
+        try:
+            result = CampaignScheduler(store=store).run(
+                [_job(trainer, (0, 1))])[0]
+        finally:
+            thread.join()
+        assert seen_seed0.is_set()
+        assert store.lease_contended >= 1
+        assert (store.hits, store.misses, store.puts) == (1, 2, 1)
+        assert not result.cached and result.score == cold.score
+        _assert_same_runs(result.runs, cold.runs)
 
     def test_per_seed_split_matches_whole_batch(self):
-        """Fan-out splits non-lockstep jobs by seed without changing results.
+        """One-seed work items reproduce the whole serial seed batch.
 
-        Without the kernel compiler even the original Pensieve network
-        trains per seed, so its multi-seed job splits across two workers and
-        must reproduce the whole serial batch.
+        With and without the kernel compiler (the compiled n-seed stack
+        and the autograd reference per seed), a 2-worker campaign of
+        one-seed items must reproduce ``run_seeds`` over the whole batch.
         """
         trainer = _trainer("fcc")
-        job = EvaluationJob(trainer=trainer, state_design=None,
-                            network_design=None, seeds=(0, 1),
-                            environment="fcc")
-        assert not CampaignScheduler()._splits_without_cost(job)
-        with nn.engine.using(nn.EngineConfig(
-                dtype=nn.get_default_dtype(), compile=False)):
-            assert CampaignScheduler()._splits_without_cost(job)
-            whole = CampaignScheduler(
-                ParallelConfig(max_workers=1)).run([job])[0]
-            split = CampaignScheduler(
-                ParallelConfig(max_workers=2)).run([job])[0]
-        assert split.score == whole.score
-        _assert_same_runs(split.runs, whole.runs)
+        job = _job(trainer, (0, 1))
+        for compile_ in (True, False):
+            with nn.engine.using(nn.EngineConfig(
+                    dtype=nn.get_default_dtype(), compile=compile_)):
+                whole = trainer.run_seeds(None, None, [0, 1])
+                split = CampaignScheduler(
+                    ParallelConfig(max_workers=2)).run([job])[0]
+            assert split.score == protocol_score(
+                whole, trainer.config.last_k_checkpoints)
+            _assert_same_runs(split.runs, whole)
+
+    def test_coordinator_never_instantiates_designs(self, monkeypatch):
+        """A 2-worker campaign builds no agent in the coordinating process."""
+        from repro.core import evaluation
+
+        trainer = _trainer("fcc")
+        design = Design(kind="state", code=GOOD_STATE)
+        coordinator = os.getpid()
+        calls = []
+        original = evaluation.instantiate_agent
+
+        def counting(*args, **kwargs):
+            if os.getpid() == coordinator:
+                calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "instantiate_agent", counting)
+        results = CampaignScheduler(ParallelConfig(max_workers=2)).run(
+            [_job(trainer, (0, 1)), _job(trainer, (0, 1), state=design)])
+        assert all(result.ok for result in results)
+        assert calls == []
 
     def test_context_memoization_tracks_dtype(self):
         """A dtype switch between runs must not serve a stale fingerprint."""

@@ -8,7 +8,7 @@ Covers the PR's hard guarantees:
   modulo timestamps and worker pids (the same order-preserving merge
   contract the scheduler gives results);
 * the ``store.*`` counters the scheduler emits agree exactly with the
-  result store's own hit/miss/partial-probe/put accounting, so the
+  result store's own hit/miss/put accounting, so the
   ``repro report`` hit-rate is provably the store's;
 * per-checkpoint training metrics ride along with ``TrainingRun`` records
   and survive warm-store replays bit-exactly;
@@ -155,7 +155,7 @@ class TestMergeDeterminism:
 
         assert signatures(serial_events) == signatures(pooled_events)
         names = {e.name for e in serial_events}
-        assert {"scheduler.run", "scheduler.execute", "parallel.map",
+        assert {"scheduler.run", "scheduler.execute", "executor.batch",
                 "job.train", "scheduler.jobs.submitted",
                 "scheduler.jobs.trained"} <= names
 
@@ -163,11 +163,12 @@ class TestMergeDeterminism:
         trainer = _trainer()
         _, events = _run_with_sink([_job(trainer)])
         trains = [e for e in events if e.name == "job.train"]
-        assert len(trains) == 1
-        assert trains[0].attrs["environment"] == "fcc"
-        assert trains[0].attrs["design"] == "original"
-        assert trains[0].attrs["seeds"] == "0,1"
-        assert trains[0].value > 0 and trains[0].cpu_s >= 0
+        # One span per seed: the seed is the scheduler's work item.
+        assert [e.attrs["seeds"] for e in trains] == ["0", "1"]
+        for train in trains:
+            assert train.attrs["environment"] == "fcc"
+            assert train.attrs["design"] == "original"
+            assert train.value > 0 and train.cpu_s >= 0
 
 
 # --------------------------------------------------------------------------- #
@@ -179,7 +180,7 @@ class TestStoreCounters:
         cold_store = ResultStore(str(tmp_path))
         _, cold_events = _run_with_sink([_job(trainer)], store=cold_store)
         cold = _counter_totals(cold_events)
-        assert cold.get("store.miss", 0) == cold_store.misses == 1
+        assert cold.get("store.miss", 0) == cold_store.misses == 2
         assert cold.get("store.hit", 0) == cold_store.hits == 0
         assert cold.get("store.put", 0) == cold_store.puts == 2
 
@@ -196,21 +197,22 @@ class TestStoreCounters:
         assert stats["hits"] == summary["store"]["hits"]
         assert stats["misses"] == summary["store"]["misses"]
 
-    def test_partial_probe_counter_matches_store(self, tmp_path):
+    def test_widened_seed_batch_counts_per_seed(self, tmp_path):
         trainer = _trainer()
         first = ResultStore(str(tmp_path))
         _run_with_sink([_job(trainer, seeds=(0,))], store=first)
-        # Widening the batch probes seed 0 successfully, then aborts on
-        # seed 1: the probe is discarded work, counted as such.
+        # Widening the batch serves seed 0 from the store and trains seed
+        # 1 alone: one hit, one miss, one record written.
         second = ResultStore(str(tmp_path))
         _, events = _run_with_sink([_job(trainer, seeds=(0, 1))],
                                    store=second)
         totals = _counter_totals(events)
-        assert totals.get("store.partial_probe", 0) == \
-            second.partial_probes == 1
+        assert totals.get("store.hit", 0) == second.hits == 1
         assert totals.get("store.miss", 0) == second.misses == 1
-        assert totals.get("store.hit", 0) == second.hits == 0
-        assert telemetry.summarize(events)["store"]["partial_probes"] == 1
+        assert totals.get("store.put", 0) == second.puts == 1
+        summary = telemetry.summarize(events)["store"]
+        assert (summary["hits"], summary["misses"], summary["puts"]) == \
+            (1, 1, 1)
 
 
 # --------------------------------------------------------------------------- #
