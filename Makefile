@@ -21,7 +21,7 @@
 #                         torn and a lease is contended -- the run must heal
 #                         (exit 0, zero quarantined) purely via retries
 #   make dist-smoke     - the tiny campaign over `--backend remote` (a TCP
-#                         coordinator + 2 pulled-worker subprocesses) under a
+#                         coordinator + 2 forked pulled workers) under a
 #                         chaos plan (worker crash, connection drop, job
 #                         timeout, torn store write): must exit 0 with zero
 #                         quarantined jobs
@@ -150,14 +150,16 @@ chaos-smoke:
 
 # Distributed smoke: the tiny two-environment campaign once serially (the
 # reference), then over `--backend remote` -- a TCP coordinator feeding two
-# pulled-worker subprocesses -- with the chaos plan armed: one worker is
-# crashed outright mid-job, another drops its coordinator connection, a job
-# hangs past --job-timeout (its worker is killed and replaced), and a store
-# write is torn.  The remote run must exit 0 with zero quarantined jobs, its
-# store must be record-for-record identical to the serial reference (the
-# exactly-once + bit-identity acceptance gate), and the telemetry report
-# must show the faults actually fired (workers lost, requeues, a job
-# timeout) and that the coordinator never fell back to local execution.
+# pulled workers forked from the campaign process -- with the chaos plan
+# armed: one worker is crashed outright mid-job, another drops its
+# coordinator connection, a job hangs past --job-timeout (its worker is
+# killed and replaced), and a store write is torn.  The remote run must exit
+# 0 with zero quarantined jobs, its store must be record-for-record
+# identical to the serial reference (the exactly-once + bit-identity
+# acceptance gate), and the telemetry report must show the faults actually
+# fired (workers lost, requeues, a job timeout), that a lost worker was
+# respawned (the one path that still starts a `repro worker` process) and
+# that the coordinator never fell back to local execution.
 dist-smoke:
 	rm -rf .dist-smoke-serial .dist-smoke-remote .dist-smoke-telemetry
 	$(PYTHON) -m repro campaign --environments fcc starlink --num-designs 2 \
@@ -183,6 +185,7 @@ dist-smoke:
 	    d = s['distributed']; f = s['faults']; \
 	    print(json.dumps(d, indent=2)); \
 	    assert d['workers_lost'] > 0, 'rpc chaos never cost a worker'; \
+	    assert d['workers_respawned'] > 0, 'no lost worker was respawned'; \
 	    assert d['requeues'] > 0, 'no job was ever requeued'; \
 	    assert d['local_fallbacks'] == 0, 'coordinator degraded to local'; \
 	    assert f['job_timeouts'] > 0, 'the job timeout never fired'; \

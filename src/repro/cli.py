@@ -207,11 +207,11 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "processes forked per batch onto a loopback "
                              "coordinator) or 'remote' (one TCP coordinator "
                              "for the campaign serving pulled jobs to "
-                             "'repro worker' subprocesses with heartbeats "
-                             "and work-stealing)")
+                             "forked local workers and any 'repro worker' "
+                             "that dials in, with heartbeats and "
+                             "work-stealing)")
     parser.add_argument("--remote-workers", type=int, default=2,
-                        help="worker subprocesses launched for "
-                             "--backend remote")
+                        help="local workers forked for --backend remote")
     parser.add_argument("--remote-port", type=int, default=0,
                         help="coordinator TCP port for --backend remote "
                              "(0 picks a free port); extra workers can join "
@@ -456,8 +456,8 @@ def _build_remote_scheduler(args: argparse.Namespace,
     Mirrors the :class:`ParallelConfig` the pipeline would build itself.
     Local fan-out runs on the same coordinator, so retries, backoff and the
     ``--job-timeout`` assignment deadline behave identically on both
-    backends.  The executor's worker subprocesses are launched immediately
-    so they connect while designs are still being generated.
+    backends.  The executor's local workers are launched immediately so
+    they connect while designs are still being generated.
     """
     if getattr(args, "backend", "local") != "remote":
         return None, None
@@ -472,8 +472,8 @@ def _build_remote_scheduler(args: argparse.Namespace,
                                 job_timeout=args.job_timeout),
         store=store, executor=executor)
     host, port = executor.address
-    logger.info("remote backend: coordinator on %s:%d, %d worker "
-                "subprocess(es) (attach more with "
+    logger.info("remote backend: coordinator on %s:%d, %d local "
+                "worker(s) (attach more with "
                 "'repro worker --connect %s:%d')",
                 host, port, args.remote_workers, host, port)
     return scheduler, executor

@@ -1,14 +1,16 @@
 """The coordinator/worker executor: pull-based workers over TCP.
 
 Every multi-worker batch runs here.  ``--backend remote`` keeps one
-:class:`RemoteExecutor` for the whole campaign and launches
-``repro worker --connect host:port`` subprocesses (more can join from other
-hosts); :func:`~repro.core.parallel.run_resilient` with more than one worker
-opens a loopback coordinator per batch whose workers are forked from the
-calling process (:meth:`RemoteExecutor.local`).  Both drive the same
-per-item :class:`~repro.core.parallel.Ledger`, so serial, local and remote
-batches share one failure model.  :class:`~repro.core.results.ResultStore`
-puts and ``pid@host`` leases keep the persisted records exactly-once on top.
+:class:`RemoteExecutor` for the whole campaign, and
+:func:`~repro.core.parallel.run_resilient` with more than one worker opens a
+loopback coordinator per batch.  Both start their local workers through
+:meth:`RemoteExecutor.launch_workers`, which forks them from the coordinator
+process, so they inherit every imported module instead of paying an
+interpreter start; workers on other hosts join with
+``repro worker --connect host:port``.  Both drive the same per-item
+:class:`~repro.core.parallel.Ledger`, so serial, local and remote batches
+share one failure model.  :class:`~repro.core.results.ResultStore` puts and
+``pid@host`` leases keep the persisted records exactly-once on top.
 
 Protocol (JSON lines over TCP, one message per line)::
 
@@ -17,7 +19,7 @@ Protocol (JSON lines over TCP, one message per line)::
                            REJECT    {reason}           (version mismatch)
     worker → coordinator   LEASE     {}                 (give me work)
     coordinator → worker   JOB       {job, epoch, attempt, key, payload}
-                           IDLE      {retry_s}          (nothing ready)
+                           IDLE      {retry_s}          (nothing ready yet)
                            BYE       {}                 (shutting down)
     worker → coordinator   HEARTBEAT {job, epoch}       (on an interval)
     worker → coordinator   RESULT    {job, epoch, ok, payload | error}
@@ -47,7 +49,8 @@ Failure semantics — every path is injectable via :mod:`repro.core.faults`
   :meth:`ResultStore.put_run` drops a put whose lease was stolen while the
   job was away (lease epochs, ``fenced_puts``).
 * Worker processes that exit are respawned (up to ``max_respawns``) while
-  work remains.
+  work remains, as ``repro worker`` processes: the coordinator's threads
+  are running by then, and forking could copy a lock one of them holds.
 * If the worker pool empties and nobody reconnects within
   ``worker_deadline_s``, the batch degrades per ``fallback``: ``"local"``
   finishes the unfinished items in-process on the same ledger (attempt
@@ -62,6 +65,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import selectors
 import signal
 import socket
 import subprocess
@@ -113,7 +117,8 @@ class RemoteConfig:
             worker pool mid-batch before degrading per ``fallback``.
         poll_interval_s: Longest sleep of the supervision loop; it also
             wakes whenever a result or failure lands.
-        idle_retry_s: How long an idle worker waits between LEASE polls.
+        idle_retry_s: Longest a LEASE is held waiting for work; then the
+            coordinator answers IDLE and the worker leases again at once.
         fallback: ``"local"`` finishes an abandoned batch in-process;
             ``"fail"`` raises :class:`NoWorkersError` instead.
         max_respawns: Worker processes respawned after unexpected exits
@@ -242,11 +247,14 @@ class _ForkedWorker:
         self.process.kill()
 
 
-def _local_worker_main(host: str, port: int, server: socket.socket) -> None:
+def _local_worker_main(host: str, port: int,
+                       inherited: Sequence[socket.socket]) -> None:
     """Entry point of a forked local worker."""
-    # The coordinator's listening socket came along with the fork; a copy
-    # left open here would keep accepting connections nobody serves.
-    server.close()
+    # The coordinator's listening socket and accept-loop interrupt pair came
+    # along with the fork; a listening copy left open here would keep
+    # accepting connections nobody serves.
+    for sock in inherited:
+        sock.close()
     # The parent owns shutdown (and may have installed the scheduler's
     # handlers before forking): ^C drains through the coordinator, and a
     # timed-out worker must die on SIGTERM.
@@ -283,16 +291,19 @@ class RemoteExecutor:
     submission-ordered :class:`TaskOutcome`s — so it drops in where
     :func:`~repro.core.parallel.run_resilient` runs.
 
-    ``local_workers`` forks that many workers from this process before the
-    coordinator starts any thread (see :meth:`local`).
+    The accept loop runs from construction on, so a worker dialing in is
+    answered before any call; :meth:`launch_workers` starts local workers.
     """
 
-    def __init__(self, config: Optional[RemoteConfig] = None,
-                 local_workers: int = 0) -> None:
+    def __init__(self, config: Optional[RemoteConfig] = None) -> None:
         self.config = config or RemoteConfig()
         self._lock = threading.Lock()
         #: Set whenever an item lands or fails, so supervision wakes at once.
         self._wake = threading.Event()
+        #: Notified when work may be ready or close() begins (held LEASEs).
+        self._work = threading.Condition(self._lock)
+        #: Notified when a worker completes HELLO (wait_for_workers).
+        self._hello = threading.Condition(self._lock)
         self._workers: Dict[str, _WorkerConn] = {}
         self._procs: List[Any] = []
         self._conns: Set[socket.socket] = set()
@@ -310,35 +321,20 @@ class RemoteExecutor:
         self.workers_lost = 0
         self.workers_respawned = 0
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        #: A byte written here makes the accept loop return (pause, close).
+        self._interrupt = socket.socketpair()
         try:
             self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._server.bind((self.config.host, self.config.port))
             self._server.listen(64)
-            if local_workers:
-                self._fork_workers(local_workers)
+            self._server.setblocking(False)
         except BaseException:
-            self._stop_procs(time.monotonic())
-            self._server.close()
+            for sock in self._sockets():
+                sock.close()
             raise
         self._accept_thread = self._start_thread(self._accept_loop,
                                                  "repro-rpc-accept")
         logger.info("coordinator listening on %s:%d", *self.address)
-
-    @classmethod
-    def local(cls, workers: int, ledger: Ledger) -> "RemoteExecutor":
-        """A loopback coordinator with ``workers`` forked local workers.
-
-        Workers come from the platform-default multiprocessing context, so
-        under ``fork`` they inherit every imported module.  Every charged
-        attempt costs at most one worker, which bounds the respawns the
-        batch can need; respawned workers start as ``repro worker``
-        subprocesses on this process's import path, because forking once
-        the coordinator's threads run could copy a held lock.
-        """
-        retries = ledger.config.max_retries + 1
-        return cls(RemoteConfig(idle_retry_s=0.02,
-                                max_respawns=len(ledger.items) * retries),
-                   local_workers=workers)
 
     # ------------------------------------------------------------------ #
     @property
@@ -359,50 +355,81 @@ class RemoteExecutor:
         thread.start()
         return thread
 
+    def _sockets(self) -> Tuple[socket.socket, ...]:
+        """The listening socket and the accept loop's interrupt pair."""
+        return (self._server,) + tuple(self._interrupt)
+
+    def _stop_accepting(self, timeout: Optional[float] = None) -> None:
+        if self._accept_thread.is_alive():
+            self._interrupt[1].send(b"\0")
+            self._accept_thread.join(timeout)
+
     # ------------------------------------------------------------------ #
     # Worker process lifecycle.
     # ------------------------------------------------------------------ #
     def launch_workers(self, count: int,
                        extra_path: Optional[str] = None) -> None:
-        """Spawn ``count`` ``repro worker`` subprocesses dialing us.
+        """Start ``count`` local workers dialing this coordinator.
 
-        ``extra_path`` is appended to the workers' ``PYTHONPATH`` (tests use
-        it so functions defined in a test module unpickle worker-side).
+        They are forked from this process, so they inherit every imported
+        module and start without an interpreter launch.  Forking while
+        another thread runs could copy a lock that thread holds, so the
+        workers start as ``repro worker`` processes instead (as respawns
+        always do) when this process has no ``fork``, serves a connection,
+        or runs a thread of its own.  Those import from this process's
+        ``sys.path`` with ``extra_path`` in front.
         """
         src_root = str(Path(__file__).resolve().parents[2])
-        self._set_worker_cmd([src_root] + ([str(extra_path)]
-                                           if extra_path else []))
-        for _ in range(count):
-            self._procs.append(subprocess.Popen(self._worker_cmd,
-                                                env=self._worker_env))
-        logger.info("launched %d worker subprocess(es) against %s:%d",
-                    count, *self.address)
-
-    def _set_worker_cmd(self, paths: Sequence[str]) -> None:
         host, port = self.address
         self._worker_cmd = [sys.executable, "-m", "repro", "worker",
                             "--connect", f"{host}:{port}", "--quiet"]
-        self._worker_env = _worker_env(paths)
+        self._worker_env = _worker_env(
+            [src_root] + ([str(extra_path)] if extra_path else [])
+            + [path for path in sys.path if path])
+        if self._fork_workers(count):
+            kind = "forked"
+        else:
+            kind = "'repro worker'"
+            for _ in range(count):
+                self._procs.append(subprocess.Popen(self._worker_cmd,
+                                                    env=self._worker_env))
+        logger.info("launched %d %s worker(s) against %s:%d", count, kind,
+                    host, port)
 
-    def _fork_workers(self, count: int) -> None:
-        context = multiprocessing.get_context()
-        host, port = self.address
-        for _ in range(count):
-            process = context.Process(target=_local_worker_main,
-                                      args=(host, port, self._server),
-                                      name="repro-worker")
-            process.start()
-            self._procs.append(_ForkedWorker(process))
-        self._set_worker_cmd([path for path in sys.path if path])
+    def _fork_workers(self, count: int) -> bool:
+        """Fork ``count`` workers if this process is single-threaded.
+
+        The accept loop pauses meanwhile (a worker dialing in waits in the
+        listen backlog) and resumes either way.  Returns False, having
+        started nothing, when ``fork`` is unavailable or another thread is
+        alive.  The ``fork`` context is explicit: under a ``spawn`` or
+        ``forkserver`` default the workers would not share this process's
+        modules, or would not be its direct children.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return False
+        self._stop_accepting()
+        try:
+            if threading.active_count() != 1:
+                return False
+            context = multiprocessing.get_context("fork")
+            for _ in range(count):
+                process = context.Process(
+                    target=_local_worker_main,
+                    args=(*self.address, self._sockets()),
+                    name="repro-worker")
+                process.start()
+                self._procs.append(_ForkedWorker(process))
+            return True
+        finally:
+            self._accept_thread = self._start_thread(self._accept_loop,
+                                                     "repro-rpc-accept")
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` workers completed HELLO, or timeout."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.worker_count() >= count:
-                return True
-            time.sleep(0.02)
-        return self.worker_count() >= count
+        with self._hello:
+            return self._hello.wait_for(
+                lambda: len(self._workers) >= count, timeout)
 
     def _reap_and_respawn(self) -> None:
         """Restart worker processes that exited while work remains."""
@@ -457,15 +484,28 @@ class RemoteExecutor:
     # Connection handling (one thread per worker).
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return  # server socket shut down
-            # A worker dialing in after close() began is served a BYE.
-            with self._lock:
-                self._conns.add(conn)
-                self._start_thread(self._serve_conn, "repro-rpc-worker", conn)
+        """Accept workers until a byte arrives on the interrupt pair."""
+        wake = self._interrupt[0]
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if wake in ready:
+                    wake.recv(1)
+                    return
+                try:
+                    conn, _ = self._server.accept()
+                except BlockingIOError:
+                    continue  # the dialer gave up between select and accept
+                except OSError:
+                    return
+                conn.setblocking(True)
+                # A worker dialing in after close() began is served a BYE.
+                with self._lock:
+                    self._conns.add(conn)
+                    self._start_thread(self._serve_conn, "repro-rpc-worker",
+                                       conn)
 
     def _serve_conn(self, conn: socket.socket) -> None:
         rfile = conn.makefile("r", encoding="utf-8", newline="\n")
@@ -495,6 +535,7 @@ class RemoteExecutor:
                 worker = _WorkerConn(name, conn, rfile, wfile)
                 self._workers[name] = worker
                 self.workers_connected += 1
+                self._hello.notify_all()
             telemetry.counter("rpc.worker_connected")
             logger.info("worker %s connected", name)
             _send(wfile, {"type": "WELCOME", "protocol": PROTOCOL_VERSION,
@@ -523,43 +564,59 @@ class RemoteExecutor:
                 pass
 
     def _next_job(self, worker: _WorkerConn) -> Dict[str, Any]:
+        """Answer a LEASE: JOB or BYE as soon as one applies, else IDLE.
+
+        The LEASE is held for up to ``idle_retry_s``, waking when work may
+        be ready or :meth:`close` begins, so an idle worker is answered at
+        once instead of at its next poll; IDLE tells it to lease again now.
+        """
         with self._lock:
-            if self._closed or not worker.alive:
-                return {"type": "BYE"}
-            batch = self._batch
-            retry = self.config.idle_retry_s
-            if batch is None:
-                return {"type": "IDLE", "retry_s": retry}
-            ledger = batch.ledger
-            now = time.monotonic()
+            deadline = time.monotonic() + self.config.idle_retry_s
             while True:
-                index = ledger.take_ready(now)
-                if index is None:
-                    break
-                try:
-                    payload = _encode((ledger.fn, ledger.items[index]))
-                except Exception as exc:  # noqa: BLE001 - unpicklable item
-                    ledger.charge(index, f"unpicklable work item: {exc!r}")
-                    self._wake.set()
-                    continue
-                batch.epochs[index] += 1
-                epoch = batch.epochs[index]
-                batch.running[index] = (worker.name, epoch, now)
-                batch.dispatched += 1
-                telemetry.counter("rpc.job_dispatched")
-                telemetry.counter("rpc.job_bytes", len(payload))
-                return {
-                    "type": "JOB",
-                    "job": index,
-                    "epoch": epoch,
-                    "attempt": ledger.failures[index],
-                    "key": _item_fault_key(ledger.items[index], index),
-                    "payload": payload,
-                }
-            soonest = ledger.next_ready_at()
-            if soonest is not None:
-                retry = min(max(soonest - now, 0.01), retry)
-        return {"type": "IDLE", "retry_s": retry}
+                if self._closed or not worker.alive:
+                    return {"type": "BYE"}
+                now = time.monotonic()
+                wait = deadline - now
+                batch = self._batch
+                if batch is not None:
+                    job = self._take_job_locked(batch, worker, now)
+                    if job is not None:
+                        return job
+                    soonest = batch.ledger.next_ready_at()
+                    if soonest is not None:
+                        wait = min(wait, soonest - now)
+                if now >= deadline:
+                    return {"type": "IDLE", "retry_s": 0.0}
+                self._work.wait(max(wait, 0.0))
+
+    def _take_job_locked(self, batch: _Batch, worker: _WorkerConn,
+                         now: float) -> Optional[Dict[str, Any]]:
+        """The JOB message of the next ready item, if any.  Holds ``_lock``."""
+        ledger = batch.ledger
+        while True:
+            index = ledger.take_ready(now)
+            if index is None:
+                return None
+            try:
+                payload = _encode((ledger.fn, ledger.items[index]))
+            except Exception as exc:  # noqa: BLE001 - unpicklable item
+                ledger.charge(index, f"unpicklable work item: {exc!r}")
+                self._wake.set()
+                continue
+            batch.epochs[index] += 1
+            epoch = batch.epochs[index]
+            batch.running[index] = (worker.name, epoch, now)
+            batch.dispatched += 1
+            telemetry.counter("rpc.job_dispatched")
+            telemetry.counter("rpc.job_bytes", len(payload))
+            return {
+                "type": "JOB",
+                "job": index,
+                "epoch": epoch,
+                "attempt": ledger.failures[index],
+                "key": _item_fault_key(ledger.items[index], index),
+                "payload": payload,
+            }
 
     def _take_result(self, worker: _WorkerConn,
                      message: Dict[str, Any]) -> None:
@@ -579,6 +636,7 @@ class RemoteExecutor:
                 return
             batch.running.pop(index)
             self._wake.set()
+            self._work.notify_all()
             if not message.get("ok"):
                 batch.ledger.charge(index, str(message.get("error")
                                                or "remote execution failed"))
@@ -600,6 +658,7 @@ class RemoteExecutor:
         telemetry.counter("rpc.requeued")
         batch.ledger.charge(index, error)
         self._wake.set()
+        self._work.notify_all()
 
     def _drop_worker(self, worker: Optional[_WorkerConn]) -> None:
         if worker is None:
@@ -699,6 +758,7 @@ class RemoteExecutor:
             if self._closed:
                 raise RuntimeError("RemoteExecutor is closed")
             self._batch = batch
+            self._work.notify_all()
         empty_since: Optional[float] = None
         try:
             while True:
@@ -783,14 +843,15 @@ class RemoteExecutor:
             if self._closed:
                 return
             self._closed = True
+            self._work.notify_all()  # held LEASEs answer BYE now
         deadline = time.monotonic() + timeout
         self._stop_procs(deadline)
-        # shutdown() wakes a thread blocked in accept() or readline();
-        # close() alone would leave it blocked.  No connection arrives once
-        # the accept thread is gone.
-        _shutdown(self._server)
-        self._server.close()
-        self._accept_thread.join(max(deadline - time.monotonic(), 1.0))
+        # No connection arrives once the accept loop is gone.
+        self._stop_accepting(max(deadline - time.monotonic(), 1.0))
+        for sock in self._sockets():
+            sock.close()
+        # shutdown() wakes a thread blocked in readline(); close() alone
+        # would leave it blocked.
         with self._lock:
             conns, threads = list(self._conns), list(self._threads)
         for conn in conns:

@@ -242,10 +242,10 @@ def run_resilient(fn: Callable[[T, int], R], items: Sequence[T],
       is marked ``"interrupted"``, and whatever completed is returned.
 
     With more than one worker the batch runs on a loopback
-    :class:`~repro.core.distributed.RemoteExecutor` whose workers are forked
-    from this process before any coordinator thread starts, so they inherit
-    every imported module.  The coordinator and its workers are closed when
-    the batch ends.
+    :class:`~repro.core.distributed.RemoteExecutor` whose
+    :meth:`~repro.core.distributed.RemoteExecutor.launch_workers` forks the
+    workers from this process, so they inherit every imported module.  The
+    coordinator and its workers are closed when the batch ends.
 
     ``fn`` receives the zero-based attempt index alongside the item so
     deterministic fault plans can key off it.  Outcomes preserve submission
@@ -261,11 +261,18 @@ def run_resilient(fn: Callable[[T, int], R], items: Sequence[T],
     with telemetry.span("executor.batch", attrs):
         if workers <= 1 or len(ledger.items) < CHUNK_THRESHOLD:
             return run_serial(ledger, should_stop, heartbeat)
-        from .distributed import RemoteExecutor
+        from .distributed import RemoteConfig, RemoteExecutor
 
+        executor = None
         try:
-            executor = RemoteExecutor.local(workers, ledger)
+            # Every charged attempt costs at most one worker, which bounds
+            # the respawns the batch can need.
+            executor = RemoteExecutor(RemoteConfig(
+                max_respawns=len(ledger.items) * (config.max_retries + 1)))
+            executor.launch_workers(workers)
         except OSError as exc:
+            if executor is not None:
+                executor.close()
             logger.warning("local workers unavailable (%r); falling back to "
                            "serial execution", exc)
             warnings.warn(f"local workers unavailable ({exc!r}); falling "

@@ -2,7 +2,7 @@
 
 The PR's hard guarantees:
 
-* a ``--backend remote`` campaign over worker subprocesses is
+* a ``--backend remote`` campaign over forked local workers is
   **bit-identical** (scores and store records) to the serial run, and two
   workers finish a batch of sleep-bound jobs strictly faster than one;
 * a worker lost mid-job — injected crash (``job.crash``), dropped
@@ -17,7 +17,11 @@ The PR's hard guarantees:
   event stream as the serial run (the PR 6 merge contract);
 * an emptied worker pool degrades per configuration — finish locally, or
   raise :class:`NoWorkersError` with every store lease released so the
-  campaign can resume — instead of hanging.
+  campaign can resume — instead of hanging;
+* ``launch_workers`` forks direct children from a single-threaded
+  coordinator, answers a HELLO that arrives while it forks, and starts
+  ``repro worker`` processes instead when another thread is alive and for
+  every respawn.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -51,7 +56,7 @@ from repro.core import (
     run_worker,
     telemetry,
 )
-from repro.core import faults
+from repro.core import distributed, faults
 from repro.core.distributed import PROTOCOL_VERSION, _encode, _serve_session
 from repro.llm import StateDesignSpace, StateDesignSpec
 
@@ -98,9 +103,10 @@ def _store_snapshot(root: str):
 
 
 # --------------------------------------------------------------------------- #
-# Work items + functions executed inside worker subprocesses.  Must live at
-# module scope: payloads are pickled by reference and the workers import
-# this module via the ``extra_path`` hook of ``launch_workers``.
+# Work items + functions executed inside worker processes.  Must live at
+# module scope: payloads are pickled by reference.  Forked workers inherit
+# this module; ``repro worker`` processes (respawns, and launches next to a
+# foreign thread) import it via the ``extra_path`` hook of ``launch_workers``.
 # --------------------------------------------------------------------------- #
 @dataclass
 class _Item:
@@ -129,6 +135,16 @@ def _item_value(item: _Item, attempt: int) -> int:
     if attempt < item.fails:
         raise ValueError(f"flaking on attempt {attempt}")
     return item.value * 10
+
+
+def _parent_pid(item, attempt):
+    return os.getppid()
+
+
+def _slow_item_value(item: _Item, attempt: int) -> int:
+    value = _item_value(item, attempt)
+    time.sleep(0.2)
+    return value
 
 
 def _fresh_executor(launch: int = 0, **overrides) -> RemoteExecutor:
@@ -203,6 +219,94 @@ class TestProtocol:
         probe.close()  # nobody listens here now
         assert run_worker("127.0.0.1", port, connect_attempts=1,
                           connect_delay_s=0.01) == 1
+
+
+# --------------------------------------------------------------------------- #
+# How local workers start
+# --------------------------------------------------------------------------- #
+def _cmdline(pid: int) -> bytes:
+    with open(f"/proc/{pid}/cmdline", "rb") as handle:
+        return handle.read()
+
+
+class TestLaunchPath:
+    def test_quiet_executor_forks_direct_children(self):
+        with _fresh_executor(launch=2) as executor:
+            procs = list(executor._procs)
+            assert all(isinstance(proc, distributed._ForkedWorker)
+                       for proc in procs)
+            if os.path.exists("/proc/self/cmdline"):
+                # A fork runs this interpreter's command line, not
+                # ``python -m repro worker``.
+                assert all(_cmdline(proc.pid) == _cmdline(os.getpid())
+                           for proc in procs)
+            outcomes = executor.run(_parent_pid, list(range(4)),
+                                    ParallelConfig(max_workers=2))
+        assert [o.value for o in outcomes] == [os.getpid()] * 4
+
+    def test_foreign_thread_falls_back_to_repro_worker(self):
+        release = threading.Event()
+        foreign = threading.Thread(target=release.wait, daemon=True)
+        foreign.start()
+        try:
+            with _fresh_executor(launch=2) as executor:
+                procs = list(executor._procs)
+                outcomes = executor.run(_times_ten, list(range(4)),
+                                        ParallelConfig(max_workers=2))
+        finally:
+            release.set()
+            foreign.join()
+        assert all(isinstance(proc, subprocess.Popen)
+                   and "worker" in proc.args for proc in procs)
+        assert [o.value for o in outcomes] == [0, 10, 20, 30]
+        assert all(o.ok for o in outcomes)
+
+    def test_hello_during_fork_is_answered(self, monkeypatch):
+        """A worker dialing in while the accept loop is paused for a fork
+        waits in the listen backlog and is welcomed once it resumes."""
+        probes, threads = [], []
+
+        class _Probe(distributed._ForkedWorker):
+            def __init__(self, process):
+                super().__init__(process)
+                if not probes:  # between the first and the second fork
+                    threads.append(threading.active_count())
+                    sock = socket.create_connection(executor.address,
+                                                    timeout=10.0)
+                    sock.sendall(json.dumps(
+                        {"type": "HELLO", "protocol": PROTOCOL_VERSION,
+                         "worker": "probe@test"}).encode() + b"\n")
+                    probes.append(sock)
+
+        monkeypatch.setattr(distributed, "_ForkedWorker", _Probe)
+        with _fresh_executor() as executor:
+            executor.launch_workers(2, extra_path=TESTS_DIR)
+            (sock,) = probes
+            with sock:
+                reply = json.loads(sock.makefile("r", encoding="utf-8")
+                                   .readline())
+                assert reply["type"] == "WELCOME"
+                assert executor.wait_for_workers(3, timeout=60.0)
+        assert threads == [1]
+
+    def test_crashed_worker_respawns_as_repro_worker(self):
+        plan = FaultPlan(rules=(FaultRule("job.crash",
+                                          match="victim", times=1),))
+        items = ([_Item(0, key="victim", fault_plan=plan)]
+                 + [_Item(value) for value in range(1, 6)])
+        config = ParallelConfig(max_workers=2, max_retries=2,
+                                backoff_base_s=0.01)
+        with _fresh_executor(launch=2) as executor:
+            outcomes = executor.run(_slow_item_value, items, config)
+            procs = list(executor._procs)
+            assert executor.workers_respawned == 1
+        assert [o.value for o in outcomes] == [0, 10, 20, 30, 40, 50]
+        assert outcomes[0].attempts == 2
+        respawned = [proc for proc in procs
+                     if isinstance(proc, subprocess.Popen)]
+        assert len(respawned) == 1 and "worker" in respawned[0].args
+        assert sum(isinstance(proc, distributed._ForkedWorker)
+                   for proc in procs) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,11 @@
 """One failure model across every executor: serial, local and remote.
 
 :func:`~repro.core.parallel.run_resilient` runs serially with one worker and
-on a loopback coordinator with forked workers otherwise; ``--backend remote``
-runs the same coordinator with ``repro worker`` subprocesses.  The matrix
+on a loopback coordinator per batch otherwise; ``--backend remote`` keeps one
+coordinator for many batches.  Both fork their workers through
+:meth:`~repro.core.distributed.RemoteExecutor.launch_workers`, whatever the
+process's default start method, and respawn lost ones as ``repro worker``
+processes.  The matrix
 below sends the same items through the same functions on all three and
 requires the same per-item ``(status, attempts, value)`` on each, for every
 failure the executors recover from: a raising attempt, an exhausted retry
@@ -11,8 +14,10 @@ budget, a dying worker, an expired ``job_timeout`` and a shutdown request.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import dataclass
@@ -34,6 +39,7 @@ from repro.core import (
 )
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
 
 #: Snappy supervision/heartbeat cadence so the remote backend stays fast.
 FAST = dict(heartbeat_interval_s=0.05, heartbeat_timeout_s=2.0,
@@ -71,6 +77,13 @@ def _work(item: _Item, attempt: int) -> int:
 
 def _square(x):
     return x * x
+
+
+def _lineage(item, attempt):
+    """The item's value, the worker's parent pid and, if the worker shares
+    the coordinator's ``__main__``, the pid recorded there."""
+    main = sys.modules["__main__"]
+    return [item * 10, os.getppid(), getattr(main, "COORDINATOR_PID", None)]
 
 
 def _fail_on_two(x):
@@ -187,6 +200,40 @@ class TestFailureModelMatrix:
             sys.setswitchinterval(previous)
         assert [(o.status, o.attempts, o.value) for o in outcomes] == \
             [("ok", i % 3 + 1, i * 10) for i in range(40)]
+
+
+#: A child interpreter that changes the default start method, then runs a
+#: 2-worker batch of :func:`_lineage` and prints its pid and the outcomes.
+_START_METHOD_SCRIPT = """
+import json, multiprocessing, os
+COORDINATOR_PID = os.getpid()
+multiprocessing.set_start_method({method!r}, force=True)
+from repro.core import ParallelConfig, run_resilient
+from test_executors import _lineage
+outcomes = run_resilient(_lineage, list(range(4)), ParallelConfig(max_workers=2))
+print(json.dumps({{"pid": COORDINATOR_PID, "outcomes":
+                  [[o.status, o.attempts, o.value] for o in outcomes]}}))
+"""
+
+
+class TestStartMethod:
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_fork_whatever_the_default(self, method):
+        """Workers are forked direct children of the coordinator under any
+        default start method: a ``spawn`` worker would not share its
+        ``__main__``, and a ``forkserver`` one would be a grandchild."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_METHOD_SCRIPT.format(method=method)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        pid = report["pid"]
+        assert report["outcomes"] == [["ok", 1, [item * 10, pid, pid]]
+                                      for item in range(4)]
 
 
 # --------------------------------------------------------------------------- #
