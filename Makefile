@@ -158,8 +158,8 @@ chaos-smoke:
 # identical to the serial reference (the exactly-once + bit-identity
 # acceptance gate), and the telemetry report must show the faults actually
 # fired (workers lost, requeues, a job timeout), that a lost worker was
-# respawned (the one path that still starts a `repro worker` process) and
-# that the coordinator never fell back to local execution.
+# respawned (forked, like the first start) and that the coordinator never
+# fell back to local execution.
 dist-smoke:
 	rm -rf .dist-smoke-serial .dist-smoke-remote .dist-smoke-telemetry
 	$(PYTHON) -m repro campaign --environments fcc starlink --num-designs 2 \

@@ -3,9 +3,9 @@
 Measures the coordinator/worker transport's work-stealing throughput with a
 batch of sleep-bound items (so the measurement isolates the *transport* —
 dispatch, heartbeats, RESULT merge — from training compute), at 1 and N
-remote worker subprocesses, and reports the speedup plus per-job dispatch
-overhead.  The pull protocol has no placement step: a fast worker simply
-leases more often, so the expected speedup on K uniform jobs is ~min(N, K).
+forked workers, and reports the speedup plus per-job dispatch overhead.
+The pull protocol has no placement step: a fast worker simply leases more
+often, so the expected speedup on K uniform jobs is ~min(N, K).
 
 Not wired into a CI gate (wall-clock scaling on shared runners is noisy);
 ``tests/test_distributed.py`` pins the 2-workers-strictly-faster acceptance
@@ -54,8 +54,7 @@ def run_distributed_benchmark(num_items: int = 8,
     sleep_job = _importable_sleep_job()
     rows = []
     for count in worker_counts:
-        executor = RemoteExecutor(RemoteConfig(poll_interval_s=0.01,
-                                               idle_retry_s=0.01))
+        executor = RemoteExecutor(RemoteConfig(poll_interval_s=0.01))
         try:
             executor.launch_workers(count, extra_path=BENCH_DIR)
             if not executor.wait_for_workers(count, timeout=60.0):

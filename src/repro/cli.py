@@ -456,8 +456,8 @@ def _build_remote_scheduler(args: argparse.Namespace,
     Mirrors the :class:`ParallelConfig` the pipeline would build itself.
     Local fan-out runs on the same coordinator, so retries, backoff and the
     ``--job-timeout`` assignment deadline behave identically on both
-    backends.  The executor's local workers are launched immediately so
-    they connect while designs are still being generated.
+    backends.  The executor's local workers are launched immediately, so
+    they have dialed in by the time the first batch is dispatched.
     """
     if getattr(args, "backend", "local") != "remote":
         return None, None

@@ -12,19 +12,28 @@ interpreter start; workers on other hosts join with
 share one failure model.  :class:`~repro.core.results.ResultStore` puts and
 ``pid@host`` leases keep the persisted records exactly-once on top.
 
+The coordinator starts no thread.  It is one :mod:`selectors` loop that
+runs in the calling thread while the executor is inside a call
+(``launch_workers``, ``wait_for_workers``, ``run``, ``close``).  Each pass
+accepts connections, reads the workers' JSON lines, answers them, hands
+ready items to workers whose LEASE waits, and runs the supervision tick
+(deadlines, respawns, pool-empty degradation, the store-lease heartbeat).
+A worker that dials in or leases between calls waits for the next one.
+
 Protocol (JSON lines over TCP, one message per line)::
 
     worker → coordinator   HELLO     {protocol, worker}
-    coordinator → worker   WELCOME   {protocol, heartbeat_s, idle_s}
+    coordinator → worker   WELCOME   {protocol, heartbeat_s}
                            REJECT    {reason}           (version mismatch)
     worker → coordinator   LEASE     {}                 (give me work)
     coordinator → worker   JOB       {job, epoch, attempt, key, payload}
-                           IDLE      {retry_s}          (nothing ready yet)
                            BYE       {}                 (shutting down)
     worker → coordinator   HEARTBEAT {job, epoch}       (on an interval)
     worker → coordinator   RESULT    {job, epoch, ok, payload | error}
     worker → coordinator   BYE       {}
 
+A LEASE waits for its answer, a JOB once an item is ready or a BYE once the
+coordinator closes, however long that takes.
 Payloads are pickled and base64-armoured — workers are processes this
 process started (or an operator pointed at it), not an untrusted surface.
 Jobs are *pulled*: a fast worker simply leases more often, which is
@@ -39,6 +48,8 @@ Failure semantics — every path is injectable via :mod:`repro.core.faults`
 
 * A worker whose connection drops or whose process dies has its in-flight
   job requeued, charged one attempt under the usual retry/backoff budget.
+  A job that fails inside the worker, unpickling its payload included, is
+  answered with a failed RESULT and costs no worker.
 * An assignment that outlives ``job_timeout``, or whose worker stops
   heartbeating past ``heartbeat_timeout_s``, is revoked and charged.  The
   socket of a silent worker is left open — if it was merely wedged, its
@@ -48,9 +59,9 @@ Failure semantics — every path is injectable via :mod:`repro.core.faults`
   persisted record is enforced a second time at the store:
   :meth:`ResultStore.put_run` drops a put whose lease was stolen while the
   job was away (lease epochs, ``fenced_puts``).
-* Worker processes that exit are respawned (up to ``max_respawns``) while
-  work remains, as ``repro worker`` processes: the coordinator's threads
-  are running by then, and forking could copy a lock one of them holds.
+* Worker processes that exit before :meth:`RemoteExecutor.close` are
+  respawned by fork (up to ``max_respawns``), the same way they first
+  started.
 * If the worker pool empties and nobody reconnects within
   ``worker_deadline_s``, the batch degrades per ``fallback``: ``"local"``
   finishes the unfinished items in-process on the same ledger (attempt
@@ -74,8 +85,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Callable, Dict, IO, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
 from ..log import get_logger
 from . import faults, telemetry
@@ -93,7 +103,10 @@ logger = get_logger("distributed")
 
 #: Bumped whenever a message gains or loses a required field.  A worker
 #: whose version differs is rejected at HELLO instead of failing mid-job.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Most bytes one read takes off a worker connection.
+_RECV_BYTES = 1 << 18
 
 
 class NoWorkersError(RuntimeError):
@@ -115,10 +128,9 @@ class RemoteConfig:
             fenced.
         worker_deadline_s: How long the coordinator tolerates an *empty*
             worker pool mid-batch before degrading per ``fallback``.
-        poll_interval_s: Longest sleep of the supervision loop; it also
-            wakes whenever a result or failure lands.
-        idle_retry_s: Longest a LEASE is held waiting for work; then the
-            coordinator answers IDLE and the worker leases again at once.
+        poll_interval_s: Longest wait of the selector loop between
+            supervision ticks; a connection, a message or a forked
+            worker's exit ends the wait sooner.
         fallback: ``"local"`` finishes an abandoned batch in-process;
             ``"fail"`` raises :class:`NoWorkersError` instead.
         max_respawns: Worker processes respawned after unexpected exits
@@ -132,7 +144,6 @@ class RemoteConfig:
     heartbeat_timeout_s: float = 10.0
     worker_deadline_s: float = 30.0
     poll_interval_s: float = 0.05
-    idle_retry_s: float = 0.1
     fallback: str = "local"
     max_respawns: int = 4
 
@@ -153,14 +164,9 @@ def _decode(text: str) -> Any:
 
 
 def _send(wfile: IO[str], message: Dict[str, Any],
-          lock: Optional[threading.Lock] = None) -> None:
-    line = json.dumps(message) + "\n"
-    if lock is not None:
-        with lock:
-            wfile.write(line)
-            wfile.flush()
-    else:
-        wfile.write(line)
+          lock: threading.Lock) -> None:
+    with lock:
+        wfile.write(json.dumps(message) + "\n")
         wfile.flush()
 
 
@@ -186,17 +192,20 @@ def _item_fault_key(item: Any, index: int) -> str:
 # Coordinator.
 # --------------------------------------------------------------------------- #
 class _WorkerConn:
-    """Coordinator-side state for one connected worker."""
+    """Coordinator-side state of one accepted connection.
 
-    __slots__ = ("name", "conn", "rfile", "wfile", "last_seen", "alive")
+    ``name`` stays None until the peer's HELLO is accepted; ``leasing`` is
+    set while its LEASE waits for a JOB or a BYE.
+    """
 
-    def __init__(self, name: str, conn: socket.socket,
-                 rfile: IO[str], wfile: IO[str]) -> None:
-        self.name = name
+    __slots__ = ("conn", "buffer", "name", "last_seen", "leasing", "alive")
+
+    def __init__(self, conn: socket.socket) -> None:
         self.conn = conn
-        self.rfile = rfile
-        self.wfile = wfile
+        self.buffer = bytearray()
+        self.name: Optional[str] = None
         self.last_seen = time.monotonic()
+        self.leasing = False
         self.alive = True
 
 
@@ -225,11 +234,13 @@ class _Batch:
 
 
 class _ForkedWorker:
-    """``subprocess.Popen``-style handle on a multiprocessing worker."""
+    """``subprocess.Popen``-style handle on a forked worker."""
 
     def __init__(self, process: Any) -> None:
         self.process = process
         self.pid = process.pid
+        #: Readable once the process has exited.
+        self.sentinel = process.sentinel
 
     def poll(self) -> Optional[int]:
         return self.process.exitcode
@@ -248,13 +259,18 @@ class _ForkedWorker:
 
 
 def _local_worker_main(host: str, port: int,
-                       inherited: Sequence[socket.socket]) -> None:
+                       selector: selectors.BaseSelector) -> None:
     """Entry point of a forked local worker."""
-    # The coordinator's listening socket and accept-loop interrupt pair came
-    # along with the fork; a listening copy left open here would keep
-    # accepting connections nobody serves.
-    for sock in inherited:
-        sock.close()
+    # The coordinator's listening socket, its connections and its selector
+    # came along with the fork.  A listening copy left open here would
+    # accept connections nobody serves, and a connection copy would hide
+    # the coordinator's close from that peer.  Only the descriptors are
+    # closed: unregistering would edit the epoll interest list, which the
+    # parent shares.
+    for key in list(selector.get_map().values()):
+        if isinstance(key.fileobj, socket.socket):
+            key.fileobj.close()
+    selector.close()
     # The parent owns shutdown (and may have installed the scheduler's
     # handlers before forking): ^C drains through the coordinator, and a
     # timed-out worker must die on SIGTERM.
@@ -264,13 +280,6 @@ def _local_worker_main(host: str, port: int,
     # is not this process's to write.
     telemetry.set_telemetry(None)
     sys.exit(run_worker(host, port))
-
-
-def _shutdown(sock: socket.socket) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
 
 
 def _worker_env(paths: Sequence[str]) -> Dict[str, str]:
@@ -291,23 +300,17 @@ class RemoteExecutor:
     submission-ordered :class:`TaskOutcome`s — so it drops in where
     :func:`~repro.core.parallel.run_resilient` runs.
 
-    The accept loop runs from construction on, so a worker dialing in is
-    answered before any call; :meth:`launch_workers` starts local workers.
+    The coordinator is a selector loop in the calling thread, so it serves
+    connections only inside :meth:`launch_workers`, :meth:`wait_for_workers`,
+    :meth:`run` and :meth:`close`; a worker that dials in or leases between
+    those calls is answered at the next one.
     """
 
     def __init__(self, config: Optional[RemoteConfig] = None) -> None:
         self.config = config or RemoteConfig()
-        self._lock = threading.Lock()
-        #: Set whenever an item lands or fails, so supervision wakes at once.
-        self._wake = threading.Event()
-        #: Notified when work may be ready or close() begins (held LEASEs).
-        self._work = threading.Condition(self._lock)
-        #: Notified when a worker completes HELLO (wait_for_workers).
-        self._hello = threading.Condition(self._lock)
+        #: Connected workers (HELLO accepted) by name.
         self._workers: Dict[str, _WorkerConn] = {}
         self._procs: List[Any] = []
-        self._conns: Set[socket.socket] = set()
-        self._threads: List[threading.Thread] = []
         self._worker_cmd: Optional[List[str]] = None
         self._worker_env: Optional[Dict[str, str]] = None
         self._batch: Optional[_Batch] = None
@@ -321,19 +324,19 @@ class RemoteExecutor:
         self.workers_lost = 0
         self.workers_respawned = 0
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        #: A byte written here makes the accept loop return (pause, close).
-        self._interrupt = socket.socketpair()
         try:
             self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._server.bind((self.config.host, self.config.port))
             self._server.listen(64)
             self._server.setblocking(False)
         except BaseException:
-            for sock in self._sockets():
-                sock.close()
+            self._server.close()
             raise
-        self._accept_thread = self._start_thread(self._accept_loop,
-                                                 "repro-rpc-accept")
+        #: Watches the listening socket (data None), every connection (its
+        #: :class:`_WorkerConn`) and every forked worker's exit sentinel
+        #: (its :class:`_ForkedWorker`).
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._server, selectors.EVENT_READ)
         logger.info("coordinator listening on %s:%d", *self.address)
 
     # ------------------------------------------------------------------ #
@@ -343,26 +346,7 @@ class RemoteExecutor:
         return str(host), int(port)
 
     def worker_count(self) -> int:
-        with self._lock:
-            return len(self._workers)
-
-    def _start_thread(self, target: Callable[..., None], name: str,
-                      *args: Any) -> threading.Thread:
-        thread = threading.Thread(target=target, args=args, daemon=True,
-                                  name=name)
-        self._threads = [t for t in self._threads if t.is_alive()]
-        self._threads.append(thread)
-        thread.start()
-        return thread
-
-    def _sockets(self) -> Tuple[socket.socket, ...]:
-        """The listening socket and the accept loop's interrupt pair."""
-        return (self._server,) + tuple(self._interrupt)
-
-    def _stop_accepting(self, timeout: Optional[float] = None) -> None:
-        if self._accept_thread.is_alive():
-            self._interrupt[1].send(b"\0")
-            self._accept_thread.join(timeout)
+        return len(self._workers)
 
     # ------------------------------------------------------------------ #
     # Worker process lifecycle.
@@ -371,12 +355,10 @@ class RemoteExecutor:
                        extra_path: Optional[str] = None) -> None:
         """Start ``count`` local workers dialing this coordinator.
 
-        They are forked from this process, so they inherit every imported
-        module and start without an interpreter launch.  Forking while
-        another thread runs could copy a lock that thread holds, so the
-        workers start as ``repro worker`` processes instead (as respawns
-        always do) when this process has no ``fork``, serves a connection,
-        or runs a thread of its own.  Those import from this process's
+        They start as respawns do, through :meth:`_start_worker`: forked
+        from this process, so they inherit every imported module and start
+        without an interpreter launch.  Where a worker has to start as a
+        ``repro worker`` process instead, it imports from this process's
         ``sys.path`` with ``extra_path`` in front.
         """
         src_root = str(Path(__file__).resolve().parents[2])
@@ -386,74 +368,65 @@ class RemoteExecutor:
         self._worker_env = _worker_env(
             [src_root] + ([str(extra_path)] if extra_path else [])
             + [path for path in sys.path if path])
-        if self._fork_workers(count):
-            kind = "forked"
-        else:
-            kind = "'repro worker'"
-            for _ in range(count):
-                self._procs.append(subprocess.Popen(self._worker_cmd,
-                                                    env=self._worker_env))
-        logger.info("launched %d %s worker(s) against %s:%d", count, kind,
-                    host, port)
+        for _ in range(count):
+            self._start_worker()
+        logger.info("launched %d worker(s) against %s:%d", count, host, port)
+        self._pump(0.0)
 
-    def _fork_workers(self, count: int) -> bool:
-        """Fork ``count`` workers if this process is single-threaded.
+    def _start_worker(self) -> None:
+        """Start one local worker, for a first start or a respawn.
 
-        The accept loop pauses meanwhile (a worker dialing in waits in the
-        listen backlog) and resumes either way.  Returns False, having
-        started nothing, when ``fork`` is unavailable or another thread is
-        alive.  The ``fork`` context is explicit: under a ``spawn`` or
-        ``forkserver`` default the workers would not share this process's
-        modules, or would not be its direct children.
+        It is forked, a direct child that shares this process's modules,
+        when ``fork`` exists and this process runs one thread.  The
+        coordinator starts no thread, so only a thread of the caller's
+        stands in the way: a fork could copy a lock it holds.  Then, and
+        without ``fork``, the worker execs ``repro worker``.  The ``fork``
+        context is explicit: under a ``spawn`` or ``forkserver`` default
+        the workers would not share this process's modules, or would not
+        be its direct children.
         """
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return False
-        self._stop_accepting()
-        try:
-            if threading.active_count() != 1:
-                return False
-            context = multiprocessing.get_context("fork")
-            for _ in range(count):
-                process = context.Process(
-                    target=_local_worker_main,
-                    args=(*self.address, self._sockets()),
-                    name="repro-worker")
-                process.start()
-                self._procs.append(_ForkedWorker(process))
-            return True
-        finally:
-            self._accept_thread = self._start_thread(self._accept_loop,
-                                                     "repro-rpc-accept")
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            process = multiprocessing.get_context("fork").Process(
+                target=_local_worker_main,
+                args=(*self.address, self._selector), name="repro-worker")
+            process.start()
+            proc = _ForkedWorker(process)
+            # Its exit wakes the selector loop, which reaps and respawns.
+            self._selector.register(proc.sentinel, selectors.EVENT_READ,
+                                    proc)
+        else:
+            proc = subprocess.Popen(self._worker_cmd, env=self._worker_env)
+        self._procs.append(proc)
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> bool:
-        """Block until ``count`` workers completed HELLO, or timeout."""
-        with self._hello:
-            return self._hello.wait_for(
-                lambda: len(self._workers) >= count, timeout)
+        """Serve connections until ``count`` workers completed HELLO;
+        False if ``timeout`` passed first."""
+        deadline = time.monotonic() + timeout
+        while len(self._workers) < count:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            self._pump(remaining)
+        return True
 
     def _reap_and_respawn(self) -> None:
-        """Restart worker processes that exited while work remains."""
+        """Forget worker processes that exited; restart them until close."""
         exited = [proc for proc in self._procs if proc.poll() is not None]
-        if not exited:
-            return
         for proc in exited:
             self._procs.remove(proc)
+            if isinstance(proc, _ForkedWorker):
+                self._selector.unregister(proc.sentinel)
+        if self._closed or not exited:
+            return
+        for proc in exited:
             logger.warning("worker process pid %d exited with code %s",
                            proc.pid, proc.poll())
-        if self._closed or self._worker_cmd is None:
-            return
-        with self._lock:
-            work_remains = (self._batch is not None
-                            and not self._batch.ledger.done())
-        if not work_remains:
-            return
-        for _ in exited:
             if self._respawns_left <= 0:
                 logger.warning("respawn budget exhausted; pool stays smaller")
-                return
+                continue
             self._respawns_left -= 1
-            self._procs.append(subprocess.Popen(self._worker_cmd,
-                                                env=self._worker_env))
+            self._start_worker()
             self.workers_respawned += 1
             telemetry.counter("rpc.worker_respawned")
             logger.info("respawned a worker process (%d respawn(s) left)",
@@ -481,118 +454,134 @@ class RemoteExecutor:
         self._procs.clear()
 
     # ------------------------------------------------------------------ #
-    # Connection handling (one thread per worker).
+    # The selector loop.
     # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        """Accept workers until a byte arrives on the interrupt pair."""
-        wake = self._interrupt[0]
-        with selectors.DefaultSelector() as selector:
-            selector.register(self._server, selectors.EVENT_READ)
-            selector.register(wake, selectors.EVENT_READ)
-            while True:
-                ready = [key.fileobj for key, _ in selector.select()]
-                if wake in ready:
-                    wake.recv(1)
-                    return
-                try:
-                    conn, _ = self._server.accept()
-                except BlockingIOError:
-                    continue  # the dialer gave up between select and accept
-                except OSError:
-                    return
-                conn.setblocking(True)
-                # A worker dialing in after close() began is served a BYE.
-                with self._lock:
-                    self._conns.add(conn)
-                    self._start_thread(self._serve_conn, "repro-rpc-worker",
-                                       conn)
+    def _pump(self, timeout: float) -> None:
+        """One pass of the selector loop.
 
-    def _serve_conn(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-        wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-        worker: Optional[_WorkerConn] = None
-        try:
-            # Messages are small request/reply lines: with Nagle on, a JOB
-            # reply or a RESULT tail can wait for the peer's delayed ACK.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            hello = _recv(rfile)
-            if (not isinstance(hello, dict) or hello.get("type") != "HELLO"
-                    or hello.get("protocol") != PROTOCOL_VERSION):
-                got = hello.get("protocol") if isinstance(hello, dict) else None
-                telemetry.counter("rpc.reject")
-                logger.warning("rejecting worker: protocol %r != %d",
-                               got, PROTOCOL_VERSION)
-                _send(wfile, {"type": "REJECT",
-                              "reason": f"protocol {got!r} unsupported; "
-                                        f"coordinator speaks "
-                                        f"{PROTOCOL_VERSION}"})
-                return
-            name = str(hello.get("worker") or "worker")
-            with self._lock:
-                self._name_counter += 1
-                if name in self._workers:
-                    name = f"{name}#{self._name_counter}"
-                worker = _WorkerConn(name, conn, rfile, wfile)
-                self._workers[name] = worker
-                self.workers_connected += 1
-                self._hello.notify_all()
-            telemetry.counter("rpc.worker_connected")
-            logger.info("worker %s connected", name)
-            _send(wfile, {"type": "WELCOME", "protocol": PROTOCOL_VERSION,
-                          "heartbeat_s": self.config.heartbeat_interval_s,
-                          "idle_s": self.config.idle_retry_s})
-            while True:
-                message = _recv(rfile)
-                if message is None or message.get("type") == "BYE":
-                    return
-                worker.last_seen = time.monotonic()
-                kind = message.get("type")
-                if kind == "LEASE":
-                    _send(wfile, self._next_job(worker))
-                elif kind == "RESULT":
-                    self._take_result(worker, message)
-                # HEARTBEAT only refreshes last_seen (already done above).
-        except (OSError, ValueError, json.JSONDecodeError):
-            pass  # dropped/garbled connection: cleanup below requeues
-        finally:
-            self._drop_worker(worker)
-            with self._lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _next_job(self, worker: _WorkerConn) -> Dict[str, Any]:
-        """Answer a LEASE: JOB or BYE as soon as one applies, else IDLE.
-
-        The LEASE is held for up to ``idle_retry_s``, waking when work may
-        be ready or :meth:`close` begins, so an idle worker is answered at
-        once instead of at its next poll; IDLE tells it to lease again now.
+        Answers the LEASEs that can be answered, then waits up to
+        ``timeout`` (less when a backing-off item is ready sooner) for a
+        connection, a message or a forked worker's exit, and handles them.
         """
-        with self._lock:
-            deadline = time.monotonic() + self.config.idle_retry_s
-            while True:
-                if self._closed or not worker.alive:
-                    return {"type": "BYE"}
-                now = time.monotonic()
-                wait = deadline - now
-                batch = self._batch
-                if batch is not None:
-                    job = self._take_job_locked(batch, worker, now)
-                    if job is not None:
-                        return job
+        timeout = self._hand_out(timeout)
+        for key, _ in self._selector.select(max(timeout, 0.0)):
+            if key.data is None:
+                self._accept()
+            elif isinstance(key.data, _WorkerConn):
+                if key.data.alive:
+                    self._read(key.data)
+            else:
+                self._reap_and_respawn()
+
+    def _hand_out(self, timeout: float) -> float:
+        """Answer waiting LEASEs: BYE once closing, else JOBs while ready
+        items last.  Returns ``timeout`` cut to the next backoff deadline
+        when a LEASE is left waiting for it."""
+        batch = self._batch
+        for worker in [w for w in self._workers.values() if w.leasing]:
+            if self._closed:
+                reply: Optional[Dict[str, Any]] = {"type": "BYE"}
+            elif batch is None:
+                break
+            else:
+                reply = self._take_job(batch, worker)
+                if reply is None:
                     soonest = batch.ledger.next_ready_at()
                     if soonest is not None:
-                        wait = min(wait, soonest - now)
-                if now >= deadline:
-                    return {"type": "IDLE", "retry_s": 0.0}
-                self._work.wait(max(wait, 0.0))
+                        timeout = min(timeout, soonest - time.monotonic())
+                    break
+            worker.leasing = False
+            self._send(worker, reply)
+        return timeout
 
-    def _take_job_locked(self, batch: _Batch, worker: _WorkerConn,
-                         now: float) -> Optional[Dict[str, Any]]:
-        """The JOB message of the next ready item, if any.  Holds ``_lock``."""
+    def _accept(self) -> None:
+        try:
+            conn, _ = self._server.accept()
+        except OSError:
+            return  # the dialer gave up between select and accept
+        # Messages are small request/reply lines: with Nagle on, a JOB
+        # reply or a RESULT tail can wait for the peer's delayed ACK.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Reads follow readiness; this bounds a send to a peer that stopped
+        # reading.
+        conn.settimeout(self.config.heartbeat_timeout_s)
+        self._selector.register(conn, selectors.EVENT_READ,
+                                _WorkerConn(conn))
+
+    def _read(self, worker: _WorkerConn) -> None:
+        try:
+            data = worker.conn.recv(_RECV_BYTES)
+        except OSError:
+            data = b""
+        if not data:
+            self._drop(worker)
+            return
+        worker.buffer += data
+        if b"\n" not in data:
+            return
+        *lines, rest = worker.buffer.split(b"\n")
+        worker.buffer = rest
+        for line in lines:
+            try:
+                message = json.loads(line)
+            except ValueError:
+                message = None
+            if not isinstance(message, dict):
+                self._drop(worker)  # garbled: a dropped connection requeues
+            if not worker.alive:
+                return
+            self._handle(worker, message)
+
+    def _handle(self, worker: _WorkerConn, message: Dict[str, Any]) -> None:
+        if worker.name is None:
+            self._hello(worker, message)
+            return
+        worker.last_seen = time.monotonic()
+        kind = message.get("type")
+        if kind == "LEASE":
+            worker.leasing = True
+        elif kind == "RESULT":
+            self._take_result(worker, message)
+        elif kind == "BYE":
+            self._drop(worker)
+        # HEARTBEAT only refreshes last_seen (already done above).
+
+    def _hello(self, worker: _WorkerConn, hello: Dict[str, Any]) -> None:
+        if (hello.get("type") != "HELLO"
+                or hello.get("protocol") != PROTOCOL_VERSION):
+            got = hello.get("protocol")
+            telemetry.counter("rpc.reject")
+            logger.warning("rejecting worker: protocol %r != %d",
+                           got, PROTOCOL_VERSION)
+            self._send(worker, {"type": "REJECT",
+                                "reason": f"protocol {got!r} unsupported; "
+                                          f"coordinator speaks "
+                                          f"{PROTOCOL_VERSION}"})
+            self._drop(worker)
+            return
+        name = str(hello.get("worker") or "worker")
+        self._name_counter += 1
+        if name in self._workers:
+            name = f"{name}#{self._name_counter}"
+        worker.name = name
+        self._workers[name] = worker
+        self.workers_connected += 1
+        telemetry.counter("rpc.worker_connected")
+        logger.info("worker %s connected", name)
+        self._send(worker, {"type": "WELCOME", "protocol": PROTOCOL_VERSION,
+                            "heartbeat_s": self.config.heartbeat_interval_s})
+
+    def _send(self, worker: _WorkerConn, message: Dict[str, Any]) -> None:
+        try:
+            worker.conn.sendall((json.dumps(message) + "\n").encode("utf-8"))
+        except OSError:
+            self._drop(worker)
+
+    def _take_job(self, batch: _Batch,
+                  worker: _WorkerConn) -> Optional[Dict[str, Any]]:
+        """The JOB message of the next ready item, if any."""
         ledger = batch.ledger
+        now = time.monotonic()
         while True:
             index = ledger.take_ready(now)
             if index is None:
@@ -601,12 +590,14 @@ class RemoteExecutor:
                 payload = _encode((ledger.fn, ledger.items[index]))
             except Exception as exc:  # noqa: BLE001 - unpicklable item
                 ledger.charge(index, f"unpicklable work item: {exc!r}")
-                self._wake.set()
                 continue
             batch.epochs[index] += 1
             epoch = batch.epochs[index]
             batch.running[index] = (worker.name, epoch, now)
             batch.dispatched += 1
+            # Its heartbeats are due from now on, however long its LEASE
+            # waited.
+            worker.last_seen = now
             telemetry.counter("rpc.job_dispatched")
             telemetry.counter("rpc.job_bytes", len(payload))
             return {
@@ -620,74 +611,63 @@ class RemoteExecutor:
 
     def _take_result(self, worker: _WorkerConn,
                      message: Dict[str, Any]) -> None:
-        with self._lock:
-            batch = self._batch
-            index = int(message.get("job", -1))
-            epoch = int(message.get("epoch", -1))
-            if (batch is None or index not in batch.running
-                    or batch.running[index][:2] != (worker.name, epoch)):
-                if batch is not None:
-                    batch.fenced += 1
-                telemetry.counter("rpc.result_fenced")
-                logger.warning(
-                    "fenced stale RESULT for job %d epoch %d from %s "
-                    "(assignment revoked or re-dispatched)",
-                    index, epoch, worker.name)
-                return
-            batch.running.pop(index)
-            self._wake.set()
-            self._work.notify_all()
-            if not message.get("ok"):
-                batch.ledger.charge(index, str(message.get("error")
-                                               or "remote execution failed"))
-                return
-            try:
-                value = _decode(message["payload"])
-            except Exception as exc:  # noqa: BLE001 - corrupt payload
-                batch.ledger.charge(index,
-                                    f"undecodable RESULT payload: {exc!r}")
-                return
-            batch.ledger.succeed(index, value)
-            telemetry.counter("rpc.result")
-            telemetry.counter("rpc.result_bytes", len(message["payload"]))
+        batch = self._batch
+        index = int(message.get("job", -1))
+        epoch = int(message.get("epoch", -1))
+        if (batch is None or index not in batch.running
+                or batch.running[index][:2] != (worker.name, epoch)):
+            if batch is not None:
+                batch.fenced += 1
+            telemetry.counter("rpc.result_fenced")
+            logger.warning(
+                "fenced stale RESULT for job %d epoch %d from %s "
+                "(assignment revoked or re-dispatched)",
+                index, epoch, worker.name)
+            return
+        batch.running.pop(index)
+        if not message.get("ok"):
+            batch.ledger.charge(index, str(message.get("error")
+                                           or "remote execution failed"))
+            return
+        try:
+            value = _decode(message["payload"])
+        except Exception as exc:  # noqa: BLE001 - corrupt payload
+            batch.ledger.charge(index, f"undecodable RESULT payload: {exc!r}")
+            return
+        batch.ledger.succeed(index, value)
+        telemetry.counter("rpc.result")
+        telemetry.counter("rpc.result_bytes", len(message["payload"]))
 
-    def _revoke_locked(self, batch: _Batch, index: int, error: str) -> None:
-        """Take ``index`` off its worker and charge it.  Holds ``_lock``."""
+    def _revoke(self, batch: _Batch, index: int, error: str) -> None:
+        """Take ``index`` off its worker and charge it."""
         batch.running.pop(index)
         batch.requeued += 1
         telemetry.counter("rpc.requeued")
         batch.ledger.charge(index, error)
-        self._wake.set()
-        self._work.notify_all()
 
-    def _drop_worker(self, worker: Optional[_WorkerConn]) -> None:
-        if worker is None:
+    def _drop(self, worker: _WorkerConn) -> None:
+        """Close ``worker``'s connection and requeue its running job."""
+        if not worker.alive:
             return
-        with self._lock:
-            if not self._drop_worker_locked(worker):
-                return
+        worker.alive = False
+        self._selector.unregister(worker.conn)
+        worker.conn.close()
+        if worker.name is None:
+            return
+        del self._workers[worker.name]
         if self._closed:
             logger.info("worker %s disconnected at shutdown", worker.name)
-        else:
-            logger.warning("worker %s lost", worker.name)
-
-    def _drop_worker_locked(self, worker: _WorkerConn) -> bool:
-        if not worker.alive:
-            return False
-        worker.alive = False
-        self._workers.pop(worker.name, None)
-        if self._closed:
-            return True  # an orderly exit after BYE, not a loss
+            return  # an orderly exit after BYE, not a loss
+        logger.warning("worker %s lost", worker.name)
         self.workers_lost += 1
         telemetry.counter("rpc.worker_lost")
         batch = self._batch
         if batch is not None:
             for index, (name, _, _) in list(batch.running.items()):
                 if name == worker.name:
-                    self._revoke_locked(
+                    self._revoke(
                         batch, index, f"worker {worker.name} lost mid-job "
                                       "(connection dropped or process died)")
-        return True
 
     def _check_deadlines(self, batch: _Batch) -> None:
         """Revoke assignments past ``job_timeout`` or heartbeat silence.
@@ -695,35 +675,32 @@ class RemoteExecutor:
         A silent worker keeps its socket: if it was merely wedged, its
         eventual RESULT carries the revoked epoch and is fenced rather than
         racing the re-execution.  A timed-out worker this executor launched
-        is terminated instead (and respawned by the supervision loop).
+        is terminated instead (and respawned once its exit is reaped).
         """
         job_timeout = batch.ledger.config.job_timeout
         silence = self.config.heartbeat_timeout_s
         now = time.monotonic()
-        with self._lock:
-            for index, (name, _, started) in list(batch.running.items()):
-                worker = self._workers.get(name)
-                if job_timeout is not None and now - started > job_timeout:
-                    telemetry.counter("rpc.job_timeout")
-                    self._revoke_locked(
-                        batch, index,
-                        f"TimeoutError: job exceeded {job_timeout:.1f}s")
-                    proc = self._launched(name)
-                    if proc is not None:
-                        # Retire the worker before it can lease again, then
-                        # kill it; the connection drop finds nothing to
-                        # charge.
-                        if worker is not None:
-                            self._drop_worker_locked(worker)
-                        proc.terminate()
-                elif worker is not None and now - worker.last_seen > silence:
-                    batch.heartbeat_timeouts += 1
-                    telemetry.counter("rpc.heartbeat_timeout")
-                    self._revoke_locked(
-                        batch, index,
-                        f"worker {name} missed heartbeats for "
-                        f"{now - worker.last_seen:.1f}s "
-                        f"(deadline {silence:.1f}s)")
+        for index, (name, _, started) in list(batch.running.items()):
+            worker = self._workers.get(name)
+            if job_timeout is not None and now - started > job_timeout:
+                telemetry.counter("rpc.job_timeout")
+                self._revoke(batch, index,
+                             f"TimeoutError: job exceeded {job_timeout:.1f}s")
+                proc = self._launched(name)
+                if proc is not None:
+                    # Retire the worker before it can lease again, then
+                    # kill it; the connection is gone, so nothing is
+                    # charged twice.
+                    if worker is not None:
+                        self._drop(worker)
+                    proc.terminate()
+            elif worker is not None and now - worker.last_seen > silence:
+                batch.heartbeat_timeouts += 1
+                telemetry.counter("rpc.heartbeat_timeout")
+                self._revoke(batch, index,
+                             f"worker {name} missed heartbeats for "
+                             f"{now - worker.last_seen:.1f}s "
+                             f"(deadline {silence:.1f}s)")
 
     # ------------------------------------------------------------------ #
     # Batch execution.
@@ -739,10 +716,16 @@ class RemoteExecutor:
         quarantined / interrupted), supervising deadlines, respawns and
         pool-empty degradation from the calling thread.  ``heartbeat`` (the
         scheduler's store-lease refresher) is invoked on every supervision
-        tick, so leases held for remote jobs stay visibly alive.
+        tick, so leases held for remote jobs stay visibly alive.  The batch
+        is timed as an ``executor.batch`` span carrying the connected
+        worker count.
         """
-        return self._dispatch(Ledger(fn, items, config or ParallelConfig()),
-                              should_stop, heartbeat)
+        ledger = Ledger(fn, items, config or ParallelConfig())
+        attrs = ({"items": len(ledger.items),
+                  "workers": max(len(self._workers), 1)}
+                 if telemetry.get_telemetry() is not None else None)
+        with telemetry.span("executor.batch", attrs):
+            return self._dispatch(ledger, should_stop, heartbeat)
 
     def _dispatch(self, ledger: Ledger,
                   should_stop: Optional[Callable[[], bool]],
@@ -752,22 +735,12 @@ class RemoteExecutor:
         if not ledger.items:
             self.last_stats = batch.stats()
             return []
-        with self._lock:
-            if self._batch is not None:
-                raise RuntimeError("RemoteExecutor.run is not reentrant")
-            if self._closed:
-                raise RuntimeError("RemoteExecutor is closed")
-            self._batch = batch
-            self._work.notify_all()
+        if self._closed:
+            raise RuntimeError("RemoteExecutor is closed")
+        self._batch = batch
         empty_since: Optional[float] = None
         try:
-            while True:
-                self._wake.clear()
-                with self._lock:
-                    finished = ledger.done()
-                    alive = len(self._workers)
-                if finished:
-                    break
+            while not ledger.done():
                 if should_stop is not None and should_stop():
                     self._drain(batch)
                     break
@@ -775,21 +748,19 @@ class RemoteExecutor:
                     heartbeat()
                 self._reap_and_respawn()
                 self._check_deadlines(batch)
-                if alive == 0:
-                    if empty_since is None:
-                        empty_since = time.monotonic()
-                    elif (time.monotonic() - empty_since
-                          > self.config.worker_deadline_s):
-                        self._degrade(batch, should_stop, heartbeat)
-                        break
-                else:
+                if self._workers:
                     empty_since = None
-                self._wake.wait(self.config.poll_interval_s)
+                elif empty_since is None:
+                    empty_since = time.monotonic()
+                elif (time.monotonic() - empty_since
+                      > self.config.worker_deadline_s):
+                    self._degrade(batch, should_stop, heartbeat)
+                    break
+                self._pump(self.config.poll_interval_s)
         except KeyboardInterrupt:
             self._drain(batch)
         finally:
-            with self._lock:
-                self._batch = None
+            self._batch = None
             self.last_stats = batch.stats()
         return ledger.results()
 
@@ -798,15 +769,14 @@ class RemoteExecutor:
                  heartbeat: Optional[Callable[[], None]]) -> None:
         """Pool empty past the deadline: finish locally or fail loudly."""
         ledger = batch.ledger
-        with self._lock:
-            # Detach the batch so a zombie reconnect can neither lease nor
-            # land a result; anything still marked running sat on a worker
-            # that is gone and goes back to the queue uncharged.
-            self._batch = None
-            for index in list(batch.running):
-                batch.running.pop(index)
-                batch.requeued += 1
-                ledger.requeue(index)
+        # Detach the batch so a zombie reconnect can neither lease nor land
+        # a result; anything still marked running sat on a worker that is
+        # gone and goes back to the queue uncharged.
+        self._batch = None
+        for index in list(batch.running):
+            batch.running.pop(index)
+            batch.requeued += 1
+            ledger.requeue(index)
         if ledger.done():
             return
         pending = sum(outcome is None for outcome in ledger.outcomes)
@@ -825,40 +795,34 @@ class RemoteExecutor:
 
     def _drain(self, batch: _Batch) -> None:
         """Graceful stop: wait briefly for in-flight work, then give up."""
-        with self._lock:
-            batch.ledger.stop()
+        batch.ledger.stop()
         grace = batch.ledger.config.job_timeout or 60.0
         deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
-            self._wake.clear()
-            with self._lock:
-                if not batch.running:
-                    return
-            self._wake.wait(self.config.poll_interval_s)
+        while batch.running and time.monotonic() < deadline:
+            self._pump(self.config.poll_interval_s)
 
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
-        """Tell workers to exit, reap them, stop every coordinator thread."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._work.notify_all()  # held LEASEs answer BYE now
+        """Send every worker BYE, reap the launched ones, close the sockets.
+
+        Connections are served until the launched workers exit; those still
+        running after ``timeout`` seconds are terminated.
+        """
+        if self._closed:
+            return
+        self._closed = True
         deadline = time.monotonic() + timeout
+        self._pump(0.0)  # BYE to every waiting LEASE
+        while self._procs and time.monotonic() < deadline:
+            self._pump(min(self.config.poll_interval_s,
+                           deadline - time.monotonic()))
+            self._reap_and_respawn()
         self._stop_procs(deadline)
-        # No connection arrives once the accept loop is gone.
-        self._stop_accepting(max(deadline - time.monotonic(), 1.0))
-        for sock in self._sockets():
-            sock.close()
-        # shutdown() wakes a thread blocked in readline(); close() alone
-        # would leave it blocked.
-        with self._lock:
-            conns, threads = list(self._conns), list(self._threads)
-        for conn in conns:
-            _shutdown(conn)
-        for thread in threads:
-            thread.join(max(deadline - time.monotonic(), 1.0))
-        self._threads.clear()
+        for key in list(self._selector.get_map().values()):
+            if isinstance(key.data, _WorkerConn):
+                self._drop(key.data)
+        self._selector.close()
+        self._server.close()
 
     def __enter__(self) -> "RemoteExecutor":
         return self
@@ -895,44 +859,51 @@ def _heartbeat_loop(wfile: IO[str], wlock: threading.Lock, job: int,
 
 def _execute_job(message: Dict[str, Any], wfile: IO[str],
                  wlock: threading.Lock, heartbeat_s: float) -> str:
-    """Run one JOB message; returns "done" or "drop" (simulate conn loss)."""
+    """Run one JOB message; returns "done" or "drop" (simulate conn loss).
+
+    Everything from unpickling the payload to pickling the value sits
+    inside the isolation boundary: a job that fails anywhere there is
+    answered with ``RESULT ok=False`` instead of costing the worker.
+    """
     job = int(message["job"])
     epoch = int(message["epoch"])
     attempt = int(message.get("attempt", 0))
     key = str(message.get("key", ""))
-    fn, item = _decode(message["payload"])
-    # The active fault plan rides inside the work item (like the scheduler's
-    # engine configuration); install it — or clear a predecessor's — before
-    # consulting any rpc site so injection is placement-independent.
-    faults.install_plan(getattr(item, "fault_plan", None))
-    if faults.rpc_rule("rpc.conn_drop", key, attempt) is not None:
-        logger.warning("fault: dropping coordinator connection on %s "
-                       "(attempt %d)", key, attempt)
-        return "drop"
-    loss = faults.rpc_rule("rpc.heartbeat_loss", key, attempt)
     stop = threading.Event()
     beater: Optional[threading.Thread] = None
-    if loss is None:
-        beater = threading.Thread(
-            target=_heartbeat_loop,
-            args=(wfile, wlock, job, epoch, heartbeat_s, stop), daemon=True)
-        beater.start()
-    elif loss.delay_s > 0:
-        # Go silent long enough for the coordinator's deadline to pass, so
-        # the eventual RESULT below exercises the fencing path.
-        logger.warning("fault: suppressing heartbeats and stalling %.1fs on "
-                       "%s (attempt %d)", loss.delay_s, key, attempt)
-        time.sleep(loss.delay_s)
     try:
         try:
-            value = fn(item, attempt)
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            fn, item = _decode(message["payload"])
+            # The active fault plan rides inside the work item (like the
+            # scheduler's engine configuration); install it — or clear a
+            # predecessor's — before consulting any rpc site so injection
+            # is placement-independent.
+            faults.install_plan(getattr(item, "fault_plan", None))
+            if faults.rpc_rule("rpc.conn_drop", key, attempt) is not None:
+                logger.warning("fault: dropping coordinator connection on "
+                               "%s (attempt %d)", key, attempt)
+                return "drop"
+            loss = faults.rpc_rule("rpc.heartbeat_loss", key, attempt)
+            if loss is None:
+                beater = threading.Thread(
+                    target=_heartbeat_loop,
+                    args=(wfile, wlock, job, epoch, heartbeat_s, stop),
+                    daemon=True)
+                beater.start()
+            elif loss.delay_s > 0:
+                # Go silent long enough for the coordinator's deadline to
+                # pass, so the eventual RESULT below exercises the fencing
+                # path.
+                logger.warning("fault: suppressing heartbeats and stalling "
+                               "%.1fs on %s (attempt %d)", loss.delay_s, key,
+                               attempt)
+                time.sleep(loss.delay_s)
             reply: Dict[str, Any] = {"type": "RESULT", "job": job,
-                                     "epoch": epoch, "ok": False,
-                                     "error": f"{type(exc).__name__}: {exc}"}
-        else:
+                                     "epoch": epoch, "ok": True,
+                                     "payload": _encode(fn(item, attempt))}
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
             reply = {"type": "RESULT", "job": job, "epoch": epoch,
-                     "ok": True, "payload": _encode(value)}
+                     "ok": False, "error": f"{type(exc).__name__}: {exc}"}
         delay = faults.rpc_rule("rpc.result_delay", key, attempt)
         if delay is not None and delay.delay_s > 0:
             # Heartbeats keep flowing (the thread outlives the compute), so
@@ -949,7 +920,7 @@ def _execute_job(message: Dict[str, Any], wfile: IO[str],
 def _serve_session(sock: socket.socket) -> str:
     """One connected session; returns "bye", "drop", "lost" or "reject"."""
     sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see _serve_conn
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see _accept
     rfile = sock.makefile("r", encoding="utf-8", newline="\n")
     wfile = sock.makefile("w", encoding="utf-8", newline="\n")
     wlock = threading.Lock()
@@ -962,7 +933,6 @@ def _serve_session(sock: socket.socket) -> str:
         logger.error("coordinator rejected us: %s", reason or "no WELCOME")
         return "reject"
     heartbeat_s = float(welcome.get("heartbeat_s", 0.5))
-    idle_s = float(welcome.get("idle_s", 0.1))
     while True:
         _send(wfile, {"type": "LEASE"}, wlock)
         message = _recv(rfile)
@@ -971,11 +941,9 @@ def _serve_session(sock: socket.socket) -> str:
         kind = message.get("type")
         if kind == "BYE":
             return "bye"
-        if kind == "IDLE":
-            time.sleep(float(message.get("retry_s", idle_s)))
-        elif kind == "JOB":
-            if _execute_job(message, wfile, wlock, heartbeat_s) == "drop":
-                return "drop"
+        if (kind == "JOB" and _execute_job(message, wfile, wlock,
+                                           heartbeat_s) == "drop"):
+            return "drop"
 
 
 def run_worker(host: str, port: int, connect_attempts: int = 20,

@@ -137,7 +137,7 @@ class Ledger:
     item ends ``interrupted``.
 
     The ledger takes no lock: the serial path owns it alone, and the
-    coordinator mutates it only under its own lock.
+    coordinator drives it from its one thread.
     """
 
     def __init__(self, fn: Callable[[Any, int], Any], items: Sequence[Any],

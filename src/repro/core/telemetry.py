@@ -397,15 +397,22 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
 
     Returns a dict with: total event count, counter totals, per-span-name
     aggregates, store hit-rate (from the ``store.*`` counters the scheduler
-    emits alongside the store's own accounting), worker utilization (busy
-    ``job.train`` time per pid over the ``scheduler.run`` window), the
-    compile lowered/fallback table keyed by reason, the slowest designs, and
-    per-series point counts.
+    emits alongside the store's own accounting), worker utilization and
+    the critical path (below), the compile lowered/fallback table keyed by
+    reason, the slowest designs, and per-series point counts.
+
+    Utilization is ``job.train`` CPU time over the largest ``workers``
+    count of an ``executor.batch`` span times the ``scheduler.run`` window:
+    CPU time does not grow when workers contend for cores, and a pool is
+    counted once however many processes served it (each local batch forks
+    fresh ones).  The critical path is the longest ``job.train`` span.
     """
     counters: Dict[str, float] = {}
     spans: Dict[str, Dict[str, float]] = {}
     series_stats: Dict[str, Dict[str, Any]] = {}
-    busy: Dict[int, float] = {}
+    train_cpu = 0.0
+    pool = 1
+    longest: Optional[TelemetryEvent] = None
     designs: Dict[Tuple[str, str], Dict[str, float]] = {}
     fallbacks: Dict[str, int] = {}
     pids = set()
@@ -423,8 +430,12 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             agg["count"] += 1
             agg["wall_s"] += event.value
             agg["cpu_s"] += event.cpu_s
+            if event.name == "executor.batch":
+                pool = max(pool, int((event.attrs or {}).get("workers", 1)))
             if event.name == "job.train":
-                busy[event.pid] = busy.get(event.pid, 0.0) + event.value
+                train_cpu += event.cpu_s
+                if longest is None or event.value > longest.value:
+                    longest = event
                 attrs = event.attrs or {}
                 key = (str(attrs.get("environment", "?")),
                        str(attrs.get("design", "?")))
@@ -444,9 +455,15 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
     if window <= 0.0 and events:
         window = max(e.ts + (e.value if e.kind == "span" else 0.0)
                      for e in events) - min(e.ts for e in events)
-    total_busy = sum(busy.values())
-    workers = len(busy) or 1
-    utilization = (total_busy / (workers * window)) if window > 0 else None
+    utilization = (train_cpu / (pool * window)) if window > 0 else None
+    critical_path = None
+    if longest is not None and window > 0:
+        attrs = longest.attrs or {}
+        critical_path = {"job": f"{attrs.get('environment', '?')}/"
+                                f"{attrs.get('design', '?')} seeds "
+                                f"{attrs.get('seeds', '?')}",
+                         "wall_s": longest.value,
+                         "share": longest.value / window}
 
     slowest = sorted(
         ({"environment": env, "design": design, **stats}
@@ -467,10 +484,11 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
                 int(counters.get("store.context_invalidated", 0.0)),
         },
         "workers": {
-            "count": workers,
-            "busy_s": {pid: round(s, 6) for pid, s in sorted(busy.items())},
+            "count": pool,
+            "cpu_s": train_cpu,
             "window_s": window,
             "utilization": utilization,
+            "critical_path": critical_path,
         },
         "compile": {
             "lowered": int(counters.get("compile.lowered", 0.0)),
@@ -550,13 +568,14 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
                  f"{store['context_invalidations']} context invalidations")
 
     workers = summary["workers"]
-    if workers["busy_s"]:
-        util = workers["utilization"]
-        util_text = f"{util * 100.0:.1f}% busy" if util is not None else "busy"
+    path = workers["critical_path"]
+    if path is not None:
         lines.append(f"workers           : {workers['count']} worker(s), "
-                     f"{util_text} over a {workers['window_s']:.2f} s window")
-        for pid, busy_s in workers["busy_s"].items():
-            lines.append(f"  pid {pid:<12}: {busy_s:.3f} s training")
+                     f"{workers['utilization'] * 100.0:.1f}% busy (training "
+                     f"cpu) over a {workers['window_s']:.2f} s window")
+        lines.append(f"critical path     : {path['job']}, "
+                     f"{path['wall_s']:.3f} s = {path['share'] * 100.0:.1f}% "
+                     f"of the window")
 
     if summary["spans"]:
         lines.append("top time sinks    :")

@@ -18,10 +18,12 @@ The PR's hard guarantees:
 * an emptied worker pool degrades per configuration — finish locally, or
   raise :class:`NoWorkersError` with every store lease released so the
   campaign can resume — instead of hanging;
-* ``launch_workers`` forks direct children from a single-threaded
-  coordinator, answers a HELLO that arrives while it forks, and starts
-  ``repro worker`` processes instead when another thread is alive and for
-  every respawn.
+* ``launch_workers`` and every respawn fork direct children that keep none
+  of the coordinator's sockets, a HELLO that arrives while it forks is
+  answered, and workers start as ``repro worker`` processes only while a
+  thread of the caller's is alive;
+* a work item that cannot be unpickled in the worker fails its job, not
+  the worker.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ GOOD_STATE = StateDesignSpace().render(
 
 #: Snappy supervision/heartbeat cadence so fault tests stay fast.
 FAST = dict(heartbeat_interval_s=0.05, heartbeat_timeout_s=2.0,
-            poll_interval_s=0.02, idle_retry_s=0.02)
+            poll_interval_s=0.02)
 
 
 def _trainer(environment: str = "fcc",
@@ -105,8 +107,8 @@ def _store_snapshot(root: str):
 # --------------------------------------------------------------------------- #
 # Work items + functions executed inside worker processes.  Must live at
 # module scope: payloads are pickled by reference.  Forked workers inherit
-# this module; ``repro worker`` processes (respawns, and launches next to a
-# foreign thread) import it via the ``extra_path`` hook of ``launch_workers``.
+# this module; ``repro worker`` processes (launches next to a foreign
+# thread) import it via the ``extra_path`` hook of ``launch_workers``.
 # --------------------------------------------------------------------------- #
 @dataclass
 class _Item:
@@ -141,6 +143,17 @@ def _parent_pid(item, attempt):
     return os.getppid()
 
 
+def _refuse(reason: str):
+    raise ValueError(reason)
+
+
+class _Unpicklable:
+    """Pickles fine; unpickling it in a worker raises ``ValueError``."""
+
+    def __reduce__(self):
+        return (_refuse, ("refusing to unpickle",))
+
+
 def _slow_item_value(item: _Item, attempt: int) -> int:
     value = _item_value(item, attempt)
     time.sleep(0.2)
@@ -170,6 +183,8 @@ class TestProtocol:
                 wfile.write(json.dumps({"type": "HELLO", "protocol": 999,
                                         "worker": "zombie@future"}) + "\n")
                 wfile.flush()
+                # The coordinator answers only inside a call.
+                executor.wait_for_workers(1, timeout=0.5)
                 reply = json.loads(rfile.readline())
             assert reply["type"] == "REJECT"
             assert "999" in reply["reason"]
@@ -186,11 +201,11 @@ class TestProtocol:
                     {"type": "HELLO", "protocol": PROTOCOL_VERSION,
                      "worker": "probe@test"}) + "\n")
                 wfile.flush()
+                assert executor.wait_for_workers(1, timeout=10.0)
                 reply = json.loads(rfile.readline())
                 assert reply["type"] == "WELCOME"
                 assert reply["heartbeat_s"] == \
                     executor.config.heartbeat_interval_s
-                assert executor.wait_for_workers(1, timeout=10.0)
 
     def test_nodelay_on_both_ends(self):
         """JOB/RESULT lines go out at once: Nagle is off at both ends."""
@@ -229,6 +244,18 @@ def _cmdline(pid: int) -> bytes:
         return handle.read()
 
 
+def _parent_pid_of(pid: int) -> int:
+    with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[1])
+
+
+def _fd_targets(pid: int) -> set:
+    """What each open descriptor of ``pid`` points at (``socket:[inode]``,
+    ``anon_inode:[eventpoll]``, paths)."""
+    fd_dir = f"/proc/{pid}/fd"
+    return {os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)}
+
+
 class TestLaunchPath:
     def test_quiet_executor_forks_direct_children(self):
         with _fresh_executor(launch=2) as executor:
@@ -262,8 +289,8 @@ class TestLaunchPath:
         assert all(o.ok for o in outcomes)
 
     def test_hello_during_fork_is_answered(self, monkeypatch):
-        """A worker dialing in while the accept loop is paused for a fork
-        waits in the listen backlog and is welcomed once it resumes."""
+        """A worker dialing in while ``launch_workers`` forks waits in the
+        listen backlog and is welcomed by the next call."""
         probes, threads = [], []
 
         class _Probe(distributed._ForkedWorker):
@@ -283,30 +310,65 @@ class TestLaunchPath:
             executor.launch_workers(2, extra_path=TESTS_DIR)
             (sock,) = probes
             with sock:
+                assert executor.wait_for_workers(3, timeout=60.0)
                 reply = json.loads(sock.makefile("r", encoding="utf-8")
                                    .readline())
                 assert reply["type"] == "WELCOME"
-                assert executor.wait_for_workers(3, timeout=60.0)
         assert threads == [1]
 
-    def test_crashed_worker_respawns_as_repro_worker(self):
+    def _crash_one_worker(self, executor):
+        """Run a batch in which one launched worker crashes and is
+        respawned; returns the worker processes before and after it."""
         plan = FaultPlan(rules=(FaultRule("job.crash",
                                           match="victim", times=1),))
         items = ([_Item(0, key="victim", fault_plan=plan)]
                  + [_Item(value) for value in range(1, 6)])
         config = ParallelConfig(max_workers=2, max_retries=2,
                                 backoff_base_s=0.01)
-        with _fresh_executor(launch=2) as executor:
-            outcomes = executor.run(_slow_item_value, items, config)
-            procs = list(executor._procs)
-            assert executor.workers_respawned == 1
+        first = list(executor._procs)
+        outcomes = executor.run(_slow_item_value, items, config)
         assert [o.value for o in outcomes] == [0, 10, 20, 30, 40, 50]
         assert outcomes[0].attempts == 2
-        respawned = [proc for proc in procs
-                     if isinstance(proc, subprocess.Popen)]
-        assert len(respawned) == 1 and "worker" in respawned[0].args
-        assert sum(isinstance(proc, distributed._ForkedWorker)
-                   for proc in procs) == 1
+        assert executor.workers_respawned == 1
+        return first, list(executor._procs)
+
+    def test_crashed_worker_respawns_as_forked_child(self):
+        with _fresh_executor(launch=2) as executor:
+            first, procs = self._crash_one_worker(executor)
+            (respawned,) = [proc for proc in procs if proc not in first]
+            assert all(isinstance(proc, distributed._ForkedWorker)
+                       for proc in procs)
+            if os.path.exists("/proc/self/stat"):
+                assert _parent_pid_of(respawned.pid) == os.getpid()
+                assert _cmdline(respawned.pid) == _cmdline(os.getpid())
+
+    def test_forked_worker_holds_no_coordinator_socket(self):
+        """A respawned worker closed the listening socket, the selector and
+        every worker connection it inherited."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc here")
+        with _fresh_executor(launch=2) as executor:
+            first, procs = self._crash_one_worker(executor)
+            (respawned,) = [proc for proc in procs if proc not in first]
+            held = _fd_targets(respawned.pid)
+            coordinator = {f"socket:[{os.fstat(sock.fileno()).st_ino}]"
+                           for sock in [executor._server]
+                           + [w.conn for w in executor._workers.values()]}
+            assert len(coordinator) == 3  # listener + two connections
+        assert not held & coordinator
+        assert not any("eventpoll" in target for target in held)
+
+    def test_undecodable_item_fails_its_job_not_the_worker(self):
+        with _fresh_executor(launch=2) as executor:
+            outcomes = executor.run(_times_ten, [1, _Unpicklable(), 3],
+                                    ParallelConfig(max_workers=2,
+                                                   max_retries=1,
+                                                   backoff_base_s=0.01))
+            assert [(o.status, o.attempts) for o in outcomes] == \
+                [("ok", 1), ("quarantined", 2), ("ok", 1)]
+            assert outcomes[1].error == "ValueError: refusing to unpickle"
+            assert executor.workers_lost == 0
+            assert executor.workers_respawned == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -326,7 +388,8 @@ class TestRemoteExecution:
                 list(range(6))
 
     def test_transport_byte_counters(self):
-        """``rpc.job_bytes``/``rpc.result_bytes`` sum the encoded payloads."""
+        """``rpc.job_bytes``/``rpc.result_bytes`` sum the encoded payloads,
+        and the batch is one ``executor.batch`` span over its pool."""
         items = [1, 2, 3]
         with telemetry.capture() as sink, \
                 _fresh_executor(launch=1) as executor:
@@ -341,6 +404,8 @@ class TestRemoteExecution:
         assert distributed["mean_result_bytes"] == result_bytes / 3
         assert f"{job_bytes / 3:,.0f} B/job out" in \
             telemetry.render_report(sink.events)
+        (batch,) = [e for e in sink.events if e.name == "executor.batch"]
+        assert batch.attrs == {"items": 3, "workers": 1}
 
     def test_empty_batch_is_a_noop(self):
         with _fresh_executor() as executor:
@@ -419,18 +484,13 @@ class TestRpcFaults:
                 assert outcomes[0].attempts == 2  # timeout charged one
                 assert executor.last_stats["heartbeat_timeouts"] >= 1
                 assert executor.last_stats["requeued"] >= 1
-                # The stale RESULT may land after the batch finished; wait
-                # for the fence counter rather than racing it.
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    fenced = sum(e.value for e in sink.events
-                                 if e.name == "rpc.result_fenced")
-                    if fenced >= 1:
-                        break
-                    time.sleep(0.05)
-                assert fenced >= 1, "stale RESULT was never fenced"
         finally:
             telemetry.set_telemetry(previous)
+        # The stale RESULT lands after the batch finished; close() serves
+        # the wedged worker until it exits, so it has been read by now.
+        fenced = sum(e.value for e in sink.events
+                     if e.name == "rpc.result_fenced")
+        assert fenced >= 1, "stale RESULT was never fenced"
 
     def test_result_delay_shuffles_arrival_not_results(self):
         plan = FaultPlan(rules=(FaultRule("rpc.result_delay",

@@ -2,14 +2,14 @@
 
 :func:`~repro.core.parallel.run_resilient` runs serially with one worker and
 on a loopback coordinator per batch otherwise; ``--backend remote`` keeps one
-coordinator for many batches.  Both fork their workers through
-:meth:`~repro.core.distributed.RemoteExecutor.launch_workers`, whatever the
-process's default start method, and respawn lost ones as ``repro worker``
-processes.  The matrix
-below sends the same items through the same functions on all three and
-requires the same per-item ``(status, attempts, value)`` on each, for every
-failure the executors recover from: a raising attempt, an exhausted retry
-budget, a dying worker, an expired ``job_timeout`` and a shutdown request.
+coordinator for many batches.  Both fork their workers, respawns included,
+through :meth:`~repro.core.distributed.RemoteExecutor.launch_workers`,
+whatever the process's default start method, and start no thread.  The
+matrix below sends the same items through the same functions on all three
+and requires the same per-item ``(status, attempts, value)`` on each, for
+every failure the executors recover from: a raising attempt, an exhausted
+retry budget, a dying worker, an expired ``job_timeout`` and a shutdown
+request.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
 
 #: Snappy supervision/heartbeat cadence so the remote backend stays fast.
 FAST = dict(heartbeat_interval_s=0.05, heartbeat_timeout_s=2.0,
-            poll_interval_s=0.02, idle_retry_s=0.02)
+            poll_interval_s=0.02)
 
 
 # --------------------------------------------------------------------------- #
@@ -202,38 +202,93 @@ class TestFailureModelMatrix:
             [("ok", i % 3 + 1, i * 10) for i in range(40)]
 
 
-#: A child interpreter that changes the default start method, then runs a
-#: 2-worker batch of :func:`_lineage` and prints its pid and the outcomes.
+def _tiny_campaign(store_dir: str, workers: int) -> None:
+    """Train the original design and one state design, two seeds each, into
+    a fresh store at ``store_dir``."""
+    from repro.analysis import ExperimentScale
+    from repro.analysis.experiments import build_environment
+    from repro.core import (Design, DesignTrainer, EvaluationJob,
+                            ResultStore)
+    from repro.llm import StateDesignSpace, StateDesignSpec
+
+    scale = ExperimentScale(train_epochs=4, checkpoint_interval=2,
+                            last_k_checkpoints=2, num_seeds=2,
+                            dataset_scale=0.02, num_chunks=6)
+    setup = build_environment("fcc", scale)
+    trainer = DesignTrainer(setup.video, setup.train_traces,
+                            setup.test_traces,
+                            config=scale.evaluation_config(), qoe=setup.qoe)
+    state = Design(kind="state", code=StateDesignSpace().render(
+        StateDesignSpec(extra_features=("buffer_diff",))))
+    jobs = [EvaluationJob(trainer=trainer, state_design=design,
+                          network_design=None, seeds=(0, 1),
+                          environment="fcc")
+            for design in (None, state)]
+    results = CampaignScheduler(ParallelConfig(max_workers=workers),
+                                store=ResultStore(store_dir)).run(jobs)
+    assert all(result.ok for result in results)
+
+
+def _store_records(root: str):
+    records = {}
+    for folder, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, "r", encoding="utf-8") as handle:
+                records[os.path.relpath(path, root)] = json.load(handle)
+    return records
+
+
+#: A child interpreter that changes the default start method, runs a
+#: 2-worker batch of :func:`_lineage` and a tiny campaign on ``workers``
+#: workers, and prints its pid and the batch outcomes.  Design ids count up
+#: per process, so the serial reference runs in a fresh child too.
 _START_METHOD_SCRIPT = """
-import json, multiprocessing, os
+import json, multiprocessing, os, sys
 COORDINATOR_PID = os.getpid()
 multiprocessing.set_start_method({method!r}, force=True)
 from repro.core import ParallelConfig, run_resilient
-from test_executors import _lineage
+from test_executors import _lineage, _tiny_campaign
 outcomes = run_resilient(_lineage, list(range(4)), ParallelConfig(max_workers=2))
+_tiny_campaign(sys.argv[1], workers={workers})
 print(json.dumps({{"pid": COORDINATOR_PID, "outcomes":
                   [[o.status, o.attempts, o.value] for o in outcomes]}}))
 """
 
 
+def _start_method_child(method: Optional[str], workers: int, store: str):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _START_METHOD_SCRIPT.format(method=method, workers=workers), store],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestStartMethod:
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_workers_fork_whatever_the_default(self, method):
+    @pytest.fixture(scope="class")
+    def serial_records(self, tmp_path_factory):
+        store = str(tmp_path_factory.mktemp("serial") / "store")
+        _start_method_child(None, 1, store)
+        return _store_records(store)
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_workers_fork_whatever_the_default(self, method, serial_records,
+                                               tmp_path):
         """Workers are forked direct children of the coordinator under any
-        default start method: a ``spawn`` worker would not share its
-        ``__main__``, and a ``forkserver`` one would be a grandchild."""
+        default start method (a ``spawn`` worker would not share its
+        ``__main__``, a ``forkserver`` one would be a grandchild), and a
+        campaign over them stores the serial run's records."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _START_METHOD_SCRIPT.format(method=method)],
-            capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
+        store = str(tmp_path / "store")
+        report = _start_method_child(method, 2, store)
         pid = report["pid"]
         assert report["outcomes"] == [["ok", 1, [item * 10, pid, pid]]
                                       for item in range(4)]
+        assert serial_records
+        assert _store_records(store) == serial_records
 
 
 # --------------------------------------------------------------------------- #
@@ -260,33 +315,46 @@ class TestMapItems:
 # --------------------------------------------------------------------------- #
 # Nothing outlives a batch or a closed coordinator.
 # --------------------------------------------------------------------------- #
-def _rpc_threads():
-    return [thread for thread in threading.enumerate()
-            if thread.name.startswith("repro-rpc-") and thread.is_alive()]
-
-
 class TestNoLeftovers:
-    def test_close_joins_threads_and_reaps_workers(self):
+    """The coordinator starts no thread, and nothing outlives a batch or a
+    closed coordinator."""
+
+    def test_long_lived_executor_starts_no_thread(self):
+        before = threading.enumerate()
+        seen = []
+
+        def check():
+            seen.append(threading.enumerate() == before)
+
         executor = RemoteExecutor(RemoteConfig(**FAST))
+        check()
         executor.launch_workers(2, extra_path=TESTS_DIR)
+        check()
         assert executor.wait_for_workers(2, timeout=60.0)
+        check()
         outcomes = executor.run(_work, [_Item(1), _Item(2)],
-                                ParallelConfig(max_workers=2))
+                                ParallelConfig(max_workers=2),
+                                heartbeat=check)
         assert [o.value for o in outcomes] == [10, 20]
         procs = list(executor._procs)
         executor.close()
-        assert _rpc_threads() == []
+        check()
+        assert len(seen) > 4 and all(seen)
         assert all(proc.poll() is not None for proc in procs)
 
     def test_local_batch_leaves_no_threads_or_children(self):
+        before = threading.enumerate()
+        seen = []
         plan = FaultPlan(rules=(FaultRule("job.crash", match="victim",
                                           times=1),))
         items = [_Item(1), _Item(2, key="victim", fault_plan=plan), _Item(3)]
-        outcomes = run_resilient(_work, items,
-                                 ParallelConfig(max_workers=2,
-                                                backoff_base_s=0.01))
+        outcomes = run_resilient(
+            _work, items,
+            ParallelConfig(max_workers=2, backoff_base_s=0.01),
+            heartbeat=lambda: seen.append(threading.enumerate() == before))
         assert [o.value for o in outcomes] == [10, 20, 30]
-        assert _rpc_threads() == []
+        assert seen and all(seen)
+        assert threading.enumerate() == before
         assert multiprocessing.active_children() == []
 
 

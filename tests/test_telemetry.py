@@ -345,6 +345,36 @@ class TestPersistenceAndRendering:
         assert summary["events"] == 0
         assert summary["store"]["hit_rate"] is None
 
+    def test_utilization_counts_the_pool_not_its_processes(self):
+        """Two sequential 2-worker batches, each on freshly forked workers:
+        four pids, but a pool of two, and utilization is training CPU over
+        two workers times the window."""
+        Event = telemetry.TelemetryEvent
+        events = [Event("span", "scheduler.run", 10.0, 0.0, cpu_s=1.0,
+                        pid=1)]
+        for batch, start in enumerate((0.0, 5.0)):
+            events.append(Event("span", "executor.batch", 5.0, start,
+                                pid=1, attrs={"items": 2, "workers": 2}))
+            for worker in range(2):
+                pid = 10 + 2 * batch + worker
+                # Contended: 4 s of wall for 2 s of CPU.
+                events.append(Event(
+                    "span", "job.train", 4.0 + batch + worker, start,
+                    cpu_s=2.0, pid=pid,
+                    attrs={"environment": "fcc", "design": f"d{pid}",
+                           "seeds": "0"}))
+        workers = telemetry.summarize(events)["workers"]
+        assert workers["count"] == 2
+        assert workers["cpu_s"] == 8.0
+        assert workers["utilization"] == pytest.approx(8.0 / (2 * 10.0))
+        assert workers["critical_path"] == {
+            "job": "fcc/d13 seeds 0", "wall_s": 6.0,
+            "share": pytest.approx(0.6)}
+        text = telemetry.render_report(events)
+        assert "2 worker(s), 40.0% busy (training cpu) over a 10.00 s" in text
+        assert "critical path     : fcc/d13 seeds 0, 6.000 s = 60.0% of the " \
+               "window" in text
+
 
 # --------------------------------------------------------------------------- #
 # CLI surfaces: `repro report`, `--telemetry`, `--trace`.
